@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, floor
 from typing import Sequence
 
-from .bits import BitWord, pack_symbols, unpack_symbols
+from .bits import BitWord
 
 
 class CompositionMismatch(ValueError):
@@ -181,13 +181,3 @@ def ccdm_decode(code: CcdmCode, sequence: Sequence[int]) -> BitWord:
     if r >= (1 << code.k):
         raise RankOverflow(f"rank {r} >= 2^{code.k}")
     return BitWord(r, code.k)
-
-
-def sequence_to_word(sequence: Sequence[int], class_bits: int = 2) -> BitWord:
-    """Pack a class sequence like a shaped word (first symbol in high bits)."""
-    return pack_symbols(sequence, class_bits)
-
-
-def word_to_sequence(word: BitWord, class_bits: int = 2) -> tuple[int, ...]:
-    """Inverse of sequence_to_word."""
-    return unpack_symbols(word, class_bits)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-AMPLITUDES_16PAM = (1, 3, 5, 7, 9, 11, 13, 15)
+from .mapping import AMPLITUDES
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class MbDistribution:
         return neg + pos
 
 
-def mb_distribution(lam: float, amplitudes: tuple[int, ...] = AMPLITUDES_16PAM) -> MbDistribution:
+def mb_distribution(lam: float, amplitudes: tuple[int, ...] = AMPLITUDES) -> MbDistribution:
     """The distribution for a given rate parameter (lam >= 0)."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -59,7 +59,7 @@ def mb_distribution(lam: float, amplitudes: tuple[int, ...] = AMPLITUDES_16PAM) 
 
 def mb_fit(
     target_two_h: float,
-    amplitudes: tuple[int, ...] = AMPLITUDES_16PAM,
+    amplitudes: tuple[int, ...] = AMPLITUDES,
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> MbDistribution:

@@ -148,24 +148,6 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     return tuple(x / grand for x in totals)
 
 
-def exhaustive_class_pmf(lutset: LutSet, limit_bits: int = 20) -> tuple[float, ...]:
-    """Class distribution averaged over the entire codebook by encoding.
-
-    Only feasible for small trees; refuses more than limit_bits input bits.
-    """
-    spec = lutset.spec
-    if spec.n_info > limit_bits:
-        raise ValueError(f"codebook of 2^{spec.n_info} words is too large to enumerate")
-    class_bits = spec.class_bits
-    totals = [0] * (1 << class_bits)
-    for value in range(1 << spec.n_info):
-        shaped = encode(lutset, BitWord(value, spec.n_info))
-        for sym in unpack_symbols(shaped, class_bits):
-            totals[sym] += 1
-    grand = sum(totals)
-    return tuple(x / grand for x in totals)
-
-
 def monte_carlo_pmf(
     lutset: LutSet,
     n_words: int,

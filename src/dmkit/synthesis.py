@@ -1,12 +1,13 @@
 """Energy-ranked construction of the LUT tree.
 
-The tree is built bottom-up. The leaf table enumerates every u-bit output
-pattern, reads it as a run of 2-bit amplitude-class symbols, scores it by
-total class energy, and keeps the cheapest 2^v patterns. Each layer above
-emits words that are concatenations of r-bit fields, one per child; a
-candidate word is scored by summing, over its fields, the child's band
-energy for that field value, and again the cheapest 2^v candidates are
-kept.
+Every layer is built by one rule. A candidate u-bit word is a run of
+fixed-width fields, leftmost field first; its score is the sum, over its
+fields, of a cost per field value, and the cheapest 2^v candidates are
+kept. Above the leaf a field is the r-bit parent value of one child and
+its cost is that child's band energy. The leaf is the same table with
+2-bit amplitude-class symbols as fields and the class energies as costs.
+The tree is built bottom-up, so each layer's costs are known when it is
+ranked.
 
 Entries are stored in ascending (energy, numeric value) order, so a LUT
 index doubles as an energy rank. A v-bit index is composed as the r parent
@@ -106,12 +107,6 @@ class LutSet:
         return self.inverse[self.spec.depth - layer_index]
 
 
-def _select(candidates: list[tuple[float, int]], keep: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    candidates.sort()
-    kept = candidates[:keep]
-    return tuple(w for _, w in kept), tuple(e for e, _ in kept)
-
-
 def _band_means(energies: Sequence[float], parent_bits: int | None) -> tuple[float, ...]:
     # Index = r (high) || s (low): band rv covers one contiguous slice.
     if parent_bits is None:
@@ -121,12 +116,40 @@ def _band_means(energies: Sequence[float], parent_bits: int | None) -> tuple[flo
     return tuple(sum(energies[b * size : (b + 1) * size]) / size for b in range(n_bands))
 
 
+def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:
+    """Score of every out_bits-bit word, indexed by the word.
+
+    A word is a run of log2(len(cost))-bit fields and scores the sum of
+    cost[field] over them. Each step appends one field below the words
+    built so far, so the terms are added leftmost field first, the order
+    of a per-word loop, and every score is bit-identical to it.
+    """
+    sums = [0.0]
+    for _ in range(out_bits // (len(cost).bit_length() - 1)):
+        sums = [s + c for s in sums for c in cost]
+    return sums
+
+
+def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
+    """Keep the 2^v cheapest u-bit words in ascending (energy, value) order."""
+    kept = sorted(zip(_field_sums(cost, layer.out_bits), range(1 << layer.out_bits)))[: 1 << layer.in_bits]
+    energies = tuple(e for e, _ in kept)
+    return Lut(
+        layer_index=layer.layer_index,
+        in_bits=layer.in_bits,
+        out_bits=layer.out_bits,
+        entries=tuple(w for _, w in kept),
+        entry_energy=energies,
+        band_energy=_band_means(energies, layer.parent_bits),
+    )
+
+
 def synthesize_leaf_lut(
     layer: LayerParams,
     class_energies: Sequence[float] = DEFAULT_CLASS_ENERGIES,
     class_bits: int = 2,
 ) -> Lut:
-    """Build the symbol-side table by exhaustive pattern ranking."""
+    """Build the symbol-side table; its fields are class_bits-bit class symbols."""
     n_classes = 1 << class_bits
     if len(class_energies) != n_classes:
         raise ValueError(f"need {n_classes} class energies, got {len(class_energies)}")
@@ -134,23 +157,7 @@ def synthesize_leaf_lut(
         raise ValueError(f"leaf output width {layer.out_bits} not divisible by {class_bits}")
     if layer.in_bits > layer.out_bits:
         raise ValueError(f"v={layer.in_bits} exceeds u={layer.out_bits}")
-    n_sym = layer.out_bits // class_bits
-    mask = n_classes - 1
-    candidates = []
-    for pattern in range(1 << layer.out_bits):
-        e = 0.0
-        for k in range(n_sym):
-            e += class_energies[(pattern >> (class_bits * (n_sym - 1 - k))) & mask]
-        candidates.append((e, pattern))
-    entries, energies = _select(candidates, 1 << layer.in_bits)
-    return Lut(
-        layer_index=layer.layer_index,
-        in_bits=layer.in_bits,
-        out_bits=layer.out_bits,
-        entries=entries,
-        entry_energy=energies,
-        band_energy=_band_means(energies, layer.parent_bits),
-    )
+    return _ranked_lut(layer, class_energies)
 
 
 def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]) -> Lut:
@@ -166,23 +173,7 @@ def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]
         raise ValueError(f"child band table size {n_bands} is not a power of two >= 2")
     if layer.out_bits % r_child:
         raise ValueError(f"u={layer.out_bits} is not a multiple of the child field width {r_child}")
-    t = layer.out_bits // r_child
-    mask = n_bands - 1
-    candidates = []
-    for word in range(1 << layer.out_bits):
-        e = 0.0
-        for j in range(t):
-            e += child_band_energy[(word >> (r_child * (t - 1 - j))) & mask]
-        candidates.append((e, word))
-    entries, energies = _select(candidates, 1 << layer.in_bits)
-    return Lut(
-        layer_index=layer.layer_index,
-        in_bits=layer.in_bits,
-        out_bits=layer.out_bits,
-        entries=entries,
-        entry_energy=energies,
-        band_energy=_band_means(energies, layer.parent_bits),
-    )
+    return _ranked_lut(layer, child_band_energy)
 
 
 def synthesize_tree(
@@ -198,20 +189,6 @@ def synthesize_tree(
     luts = tuple(by_layer[layer.layer_index] for layer in spec.layers)
     inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
     return LutSet(spec=spec, luts=luts, inverse=inverse, class_energies=tuple(class_energies))
-
-
-def stored_bit_counts(lutset: LutSet) -> dict[str, int]:
-    """Bits held by the concrete tables (counting the per-LUT copies).
-
-    The mirror table is addressed by all 2^u words and stores a v-bit
-    index per address.
-    """
-    dm_bits = 0
-    invdm_bits = 0
-    for layer, lut in zip(lutset.spec.layers, lutset.luts):
-        dm_bits += layer.lut_count * len(lut.entries) * lut.out_bits
-        invdm_bits += layer.lut_count * (1 << lut.out_bits) * lut.in_bits
-    return {"dm_bits": dm_bits, "invdm_bits": invdm_bits}
 
 
 def _pack_words_le(words: Sequence[int], width: int) -> bytes:
@@ -236,16 +213,24 @@ def _pack_words_le(words: Sequence[int], width: int) -> bytes:
 
 
 def _unpack_words_le(data: bytes, width: int, count: int) -> list[int]:
+    """Inverse of _pack_words_le; the padding bits after the last word must be zero."""
     if len(data) != (count * width + 7) // 8:
         raise LutFormatError(f"layer blob has {len(data)} bytes, expected {(count * width + 7) // 8}")
-    acc = int.from_bytes(data, "little")
     mask = (1 << width) - 1
     out = []
-    for i in range(count):
-        out.append((acc >> (i * width)) & mask)
-    if acc >> (count * width):
+    acc = 0
+    nbits = 0
+    for byte in data:
+        acc |= byte << nbits
+        nbits += 8
+        while nbits >= width:
+            out.append(acc & mask)
+            acc >>= width
+            nbits -= width
+    # Padding narrower than a byte may still hold whole words past count.
+    if acc or any(out[count:]):
         raise LutFormatError("nonzero padding bits in layer blob")
-    return out
+    return out[:count]
 
 
 def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
@@ -321,32 +306,15 @@ def lutset_from_entries(
     """
     if len(entries_per_layer) != spec.depth:
         raise LutFormatError(f"expected {spec.depth} layers of entries, got {len(entries_per_layer)}")
-    class_bits = spec.class_bits
-    mask_class = (1 << class_bits) - 1
-    luts_by_layer: dict[int, Lut] = {}
-    for layer_index in range(1, spec.depth + 1):
-        layer = spec.layer(layer_index)
+    if len(class_energies) != 1 << spec.class_bits:
+        raise LutFormatError(f"need {1 << spec.class_bits} class energies, got {len(class_energies)}")
+    cost: Sequence[float] = class_energies
+    luts: list[Lut] = []
+    for layer in reversed(spec.layers):
+        layer_index = layer.layer_index
         entries = tuple(entries_per_layer[spec.depth - layer_index])
         if len(entries) != 1 << layer.in_bits:
             raise LutFormatError(f"layer {layer_index}: expected {1 << layer.in_bits} entries")
-        energies = []
-        if layer_index == 1:
-            n_sym = layer.out_bits // class_bits
-            for w in entries:
-                e = 0.0
-                for k in range(n_sym):
-                    e += class_energies[(w >> (class_bits * (n_sym - 1 - k))) & mask_class]
-                energies.append(e)
-        else:
-            child = luts_by_layer[layer_index - 1]
-            r_child = (len(child.band_energy)).bit_length() - 1
-            t = layer.out_bits // r_child
-            mask = len(child.band_energy) - 1
-            for w in entries:
-                e = 0.0
-                for j in range(t):
-                    e += child.band_energy[(w >> (r_child * (t - 1 - j))) & mask]
-                energies.append(e)
         limit = 1 << layer.out_bits
         seen: set[int] = set()
         for w in entries:
@@ -355,17 +323,21 @@ def lutset_from_entries(
             if w in seen:
                 raise LutFormatError(f"layer {layer_index}: duplicate entry {w}")
             seen.add(w)
+        sums = _field_sums(cost, layer.out_bits)
+        energies = tuple(sums[w] for w in entries)
         for i in range(1, len(entries)):
             if (energies[i], entries[i]) < (energies[i - 1], entries[i - 1]):
                 raise LutFormatError(f"layer {layer_index}: entries not in (energy, value) order at {i}")
-        luts_by_layer[layer_index] = Lut(
+        lut = Lut(
             layer_index=layer_index,
             in_bits=layer.in_bits,
             out_bits=layer.out_bits,
             entries=entries,
-            entry_energy=tuple(energies),
+            entry_energy=energies,
             band_energy=_band_means(energies, layer.parent_bits),
         )
-    luts = tuple(luts_by_layer[layer.layer_index] for layer in spec.layers)
+        luts.append(lut)
+        cost = lut.band_energy
+    luts.reverse()
     inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
-    return LutSet(spec=spec, luts=luts, inverse=inverse, class_energies=tuple(class_energies))
+    return LutSet(spec=spec, luts=tuple(luts), inverse=inverse, class_energies=tuple(class_energies))

@@ -15,10 +15,10 @@ from dmkit import (
     ccdm_encode,
     composition_from_pmf,
     multiset_count,
+    pack_symbols,
     rank,
-    sequence_to_word,
+    unpack_symbols,
     unrank,
-    word_to_sequence,
 )
 
 FULL_COUNTS = (157, 104, 46, 13)
@@ -171,9 +171,9 @@ def test_encode_rejects_wrong_width():
 
 def test_sequence_word_packing():
     seq = (0, 1, 2, 3, 0)
-    word = sequence_to_word(seq)
+    word = pack_symbols(seq, 2)
     assert word.width == 10
-    assert word_to_sequence(word) == seq
+    assert unpack_symbols(word, 2) == seq
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,7 +13,6 @@ from dmkit import (
     encode,
     entropy_bits,
     exact_class_pmf,
-    exhaustive_class_pmf,
     mb_fit,
     monte_carlo_pmf,
     render_csv,
@@ -61,8 +60,6 @@ def test_exact_pmf_matches_codebook_average(fixture, request):
     brute = brute_force_class_pmf(lutset)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(dp, brute))
     assert abs(sum(dp) - 1.0) <= 1e-12
-    packaged = exhaustive_class_pmf(lutset)
-    assert all(abs(a - b) <= 1e-12 for a, b in zip(dp, packaged))
 
 
 def test_exact_pmf_full_tree_frozen_values(full_lutset):
@@ -78,11 +75,6 @@ def test_exact_pmf_agrees_with_top_band_energy(full_lutset):
     mean_from_pmf = sum(p * e for p, e in zip(pmf, DEFAULT_CLASS_ENERGIES))
     top_mean = full_lutset.luts[0].band_energy[0] / full_lutset.spec.n_pam
     assert abs(mean_from_pmf - top_mean) <= 1e-9
-
-
-def test_exhaustive_pmf_refuses_large_trees(full_lutset):
-    with pytest.raises(ValueError):
-        exhaustive_class_pmf(full_lutset)
 
 
 def test_monte_carlo_deterministic(tree3_lutset):

@@ -5,10 +5,8 @@ from dmkit import (
     LayerParams,
     LutFormatError,
     load_lutset,
-    lut_size_report,
     pair_class_energies,
     save_lutset,
-    stored_bit_counts,
     synthesize_leaf_lut,
     synthesize_parent_lut,
     synthesize_tree,
@@ -136,17 +134,19 @@ def test_tree_matches_selection_oracle(rows):
     lutset = synthesize_tree(spec)
     scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, DEFAULT_CLASS_ENERGIES)
     bands = oracle_bands(scored, spec.leaf.parent_bits, spec.leaf.info_bits)
-    assert full_entries(lutset, 1) == [w for _, w in scored]
+    assert scored_entries(lutset, 1) == (scored, bands)
     for layer_index in range(2, spec.depth + 1):
         layer = spec.layer(layer_index)
         child = spec.layer(layer_index - 1)
         scored = oracle_parent(layer.in_bits, layer.out_bits, child.parent_bits, bands)
         bands = oracle_bands(scored, layer.parent_bits, layer.info_bits)
-        assert full_entries(lutset, layer_index) == [w for _, w in scored]
+        assert scored_entries(lutset, layer_index) == (scored, bands)
 
 
-def full_entries(lutset, layer_index):
-    return list(lutset.lut_for_layer(layer_index).entries)
+def scored_entries(lutset, layer_index):
+    # Scores and band means must equal the oracle's to the last bit.
+    lut = lutset.lut_for_layer(layer_index)
+    return list(zip(lut.entry_energy, lut.entries)), list(lut.band_energy)
 
 
 def test_single_layer_tree_is_one_leaf():
@@ -181,10 +181,6 @@ def test_mirror_maps(full_lutset):
 
 def test_synthesis_deterministic(full_spec, full_lutset):
     assert synthesize_tree(full_spec) == full_lutset
-
-
-def test_stored_bits_match_closed_form(full_spec, full_lutset):
-    assert stored_bit_counts(full_lutset) == lut_size_report(full_spec)
 
 
 def test_custom_energy_table_changes_selection():
@@ -226,6 +222,26 @@ def test_duplicate_entries_rejected(tree2_lutset):
         lutset_from_entries(tree2_lutset.spec, rows)
 
 
+@pytest.mark.parametrize("layer", [0, -1])
+@pytest.mark.parametrize("entry", [16, -1])
+def test_entry_wider_than_u_rejected(tree2_lutset, layer, entry):
+    from dmkit import lutset_from_entries
+
+    rows = [list(lut.entries) for lut in tree2_lutset.luts]
+    rows[layer][-1] = entry  # both layers have u = 4
+    with pytest.raises(LutFormatError, match="wider"):
+        lutset_from_entries(tree2_lutset.spec, rows)
+
+
+def test_class_energy_count_rejected(tree2_lutset):
+    from dmkit import lutset_from_entries
+
+    rows = [list(lut.entries) for lut in tree2_lutset.luts]
+    for energies in (DEFAULT_CLASS_ENERGIES[:3], DEFAULT_CLASS_ENERGIES + (300.0,)):
+        with pytest.raises(LutFormatError, match="class energies"):
+            lutset_from_entries(tree2_lutset.spec, rows, energies)
+
+
 def test_load_rejects_corruption(tmp_path, tree2_lutset):
     path = tmp_path / "t.lut"
     save_lutset(tree2_lutset, path)
@@ -245,3 +261,14 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     extra.write_bytes(bytes(raw) + b"\x00")
     with pytest.raises(LutFormatError, match="trailing"):
         load_lutset(extra)
+
+    # Two entries of u = 2 bits per layer leave four padding bits in each blob.
+    padded_rows = [{"l": 2, "T": 1, "s": 1, "v": 1, "u": 2}, {"l": 1, "t": 2, "r": 1, "s": 0, "v": 1, "u": 2}]
+    save_lutset(synthesize_tree(validate_tree(padded_rows, 8, 4)), path)
+    raw = bytearray(path.read_bytes())
+    assert load_lutset(path).spec.depth == 2
+    raw[-1] |= 0x80
+    padding = tmp_path / "padding.lut"
+    padding.write_bytes(bytes(raw))
+    with pytest.raises(LutFormatError, match="padding"):
+        load_lutset(padding)
