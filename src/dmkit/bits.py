@@ -4,10 +4,15 @@ Every bit string in this package follows one convention: bit 0 is the most
 significant bit of the word. When a word is packed into bytes, bit 0 of the
 word becomes bit 7 of byte 0, and the final byte is zero-padded on the low
 end. Hex encodings are the hex digits of that byte packing.
+
+pack_symbols/unpack_symbols are the one split/join between a word and its
+fixed-width symbols (bits, amplitude classes, LUT entries, or the codec
+words of a stream). Both move whole bytes, in time linear in the width.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -31,35 +36,11 @@ class BitWord:
     def __len__(self) -> int:
         return self.width
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        value = 0
-        width = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            width += 1
-        return cls(value, width)
-
-    def bits(self) -> tuple[int, ...]:
-        """All bits, most significant first."""
-        return tuple((self.value >> (self.width - 1 - i)) & 1 for i in range(self.width))
-
     def field(self, offset: int, width: int) -> int:
         """Value of the bits [offset, offset + width), MSB-first."""
         if offset < 0 or width < 0 or offset + width > self.width:
             raise ValueError(f"field [{offset}, {offset + width}) outside word of width {self.width}")
         return (self.value >> (self.width - offset - width)) & ((1 << width) - 1)
-
-    @classmethod
-    def concat(cls, parts: Iterable["BitWord"]) -> "BitWord":
-        value = 0
-        width = 0
-        for p in parts:
-            value = (value << p.width) | p.value
-            width += p.width
-        return cls(value, width)
 
     def to_bytes(self) -> bytes:
         n = (self.width + 7) // 8
@@ -87,26 +68,44 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     """Pack fixed-width symbols into a word, first symbol in the high bits."""
     if bits_per_symbol < 1:
         raise ValueError("bits_per_symbol must be >= 1")
-    value = 0
-    width = 0
     limit = 1 << bits_per_symbol
+    buf = bytearray()
+    acc = 0
+    nbits = 0
     for s in symbols:
         if not 0 <= s < limit:
             raise ValueError(f"symbol {s} does not fit in {bits_per_symbol} bits")
-        value = (value << bits_per_symbol) | s
-        width += bits_per_symbol
-    return BitWord(value, width)
+        acc = (acc << bits_per_symbol) | s
+        nbits += bits_per_symbol
+        if nbits >= 64:  # move whole bytes out, keeping the accumulator small
+            keep = nbits & 7
+            buf += (acc >> keep).to_bytes(nbits >> 3, "big")
+            acc &= (1 << keep) - 1
+            nbits = keep
+    return BitWord((int.from_bytes(buf, "big") << nbits) | acc, 8 * len(buf) + nbits)
 
 
 def unpack_symbols(word: BitWord, bits_per_symbol: int) -> tuple[int, ...]:
-    """Inverse of pack_symbols."""
+    """Inverse of pack_symbols.
+
+    The packed bytes are cut into blocks of whole bytes and whole symbols,
+    at least 64 bits each; the last block is zero-padded and the padding
+    symbols are dropped.
+    """
     if bits_per_symbol < 1:
         raise ValueError("bits_per_symbol must be >= 1")
     if word.width % bits_per_symbol:
         raise ValueError(f"width {word.width} is not a multiple of {bits_per_symbol}")
-    n = word.width // bits_per_symbol
+    per_block = 8 // math.gcd(bits_per_symbol, 8)
+    per_block *= -(-64 // (per_block * bits_per_symbol))
+    block_bytes = per_block * bits_per_symbol // 8
+    data = word.to_bytes()
+    data += bytes(-len(data) % block_bytes)
     mask = (1 << bits_per_symbol) - 1
-    return tuple((word.value >> (bits_per_symbol * (n - 1 - i))) & mask for i in range(n))
+    shifts = range(bits_per_symbol * (per_block - 1), -1, -bits_per_symbol)
+    blocks = (int.from_bytes(data[k : k + block_bytes], "big") for k in range(0, len(data), block_bytes))
+    out = [(block >> shift) & mask for block in blocks for shift in shifts]
+    return tuple(out[: word.width // bits_per_symbol])
 
 
 def write_bitfile(path: str | os.PathLike, word: BitWord) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, TextIO
 
-from .bits import BitWord
+from .bits import BitWord, pack_symbols, unpack_symbols
 from .synthesis import LutSet
 from .tree import TreeSpec
 
@@ -102,8 +102,7 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     leaf_inverse = lutset.inverse[-1]
     s_mask = (1 << leaf.info_bits) - 1
     child_r: list[int] = []
-    for q in range(leaf.lut_count):
-        chunk = shaped.field(q * leaf.out_bits, leaf.out_bits)
+    for q, chunk in enumerate(unpack_symbols(shaped, leaf.out_bits)):
         idx = leaf_inverse.get(chunk)
         if idx is None:
             raise InvalidWord(1, q)
@@ -143,24 +142,22 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
     which case the final partial word is zero-padded at its end.
     """
     n_info = lutset.spec.n_info
-    n_words, rem = divmod(bits.width, n_info)
-    if rem and not pad:
-        raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
-    parts = [encode(lutset, BitWord(bits.field(i * n_info, n_info), n_info)) for i in range(n_words)]
-    if rem:
-        tail = bits.field(n_words * n_info, rem) << (n_info - rem)
-        parts.append(encode(lutset, BitWord(tail, n_info)))
-    return BitWord.concat(parts)
+    fill = -bits.width % n_info
+    if fill:
+        if not pad:
+            raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
+        bits = BitWord(bits.value << fill, bits.width + fill)
+    words = unpack_symbols(bits, n_info)
+    return pack_symbols((encode(lutset, BitWord(w, n_info)).value for w in words), lutset.spec.n_out)
 
 
 def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
     """Decode a concatenation of shaped words (length must divide exactly)."""
     n_out = lutset.spec.n_out
-    n_words, rem = divmod(bits.width, n_out)
-    if rem:
+    if bits.width % n_out:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
-    parts = [decode(lutset, BitWord(bits.field(i * n_out, n_out), n_out)) for i in range(n_words)]
-    return BitWord.concat(parts)
+    words = unpack_symbols(bits, n_out)
+    return pack_symbols((decode(lutset, BitWord(w, n_out)).value for w in words), lutset.spec.n_info)
 
 
 def dump_test_vectors(

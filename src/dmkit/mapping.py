@@ -44,8 +44,8 @@ def pam_amplitudes(shaped: BitWord, lsb_bits: BitWord, sign_bits: BitWord) -> tu
             f"need 2n shaped bits and n lsb/sign bits, got {shaped.width}/{lsb_bits.width}/{sign_bits.width}"
         )
     classes = unpack_symbols(shaped, 2)
-    lsb = lsb_bits.bits()
-    sign = sign_bits.bits()
+    lsb = unpack_symbols(lsb_bits, 1)
+    sign = unpack_symbols(sign_bits, 1)
     return tuple(assemble(classes[i], lsb[i], sign[i]) for i in range(n))
 
 

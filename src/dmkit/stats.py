@@ -5,7 +5,8 @@ index is uniform over its information bits; a layer's entry distribution
 induces the distribution of each child's parent field, and a child index
 is that field joined with uniform information bits. At the symbol side
 the per-entry class counts are averaged. Every intermediate probability
-is a dyadic rational, so double accumulation is exact to well below 1e-12.
+is a dyadic rational, so the accumulation is exact within the bound that
+exact_class_pmf states.
 
 stats_from_pmf turns a class or magnitude distribution into the usual
 shaped-signal figures: mean QAM symbol energy, QAM symbol entropy
@@ -99,51 +100,44 @@ def _check_pmf(pmf: Sequence[float]) -> None:
 
 
 def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
-    """Class distribution of the shaped output under uniform input bits."""
+    """Class distribution of the shaped output under uniform input bits.
+
+    One index distribution per layer is carried down, summed over the
+    layer's LUTs: every child distribution is linear in its parent's, so
+    the sum propagates like a single one, with total mass T_l. Each sum is
+    a dyadic rational with at most Σs fractional bits (Σs over one
+    root-to-leaf path), so the propagation is exact while Σs + log2(T_1)
+    stays within the 53-bit double mantissa (39 bits on the bundled tree);
+    the class totals add log2 of the symbols per leaf word to that.
+    """
     spec = lutset.spec
-    dists: list[list[float]] = [[1.0 / (1 << spec.top.in_bits)] * (1 << spec.top.in_bits)]
+    dist = [1.0 / (1 << spec.top.in_bits)] * (1 << spec.top.in_bits)
     for pos in range(spec.depth - 1):
         child = spec.layers[pos + 1]
         t, r, s = child.fanin, child.parent_bits, child.info_bits
         entries = lutset.luts[pos].entries
         mask = (1 << r) - 1
+        field_p = [0.0] * (1 << r)
+        for j in range(t):
+            shift = r * (t - 1 - j)
+            for i, w in enumerate(entries):
+                field_p[(w >> shift) & mask] += dist[i]
         u_s = 1.0 / (1 << s)
-        next_dists: list[list[float]] = []
-        for dist in dists:
-            for j in range(t):
-                shift = r * (t - 1 - j)
-                field_p = [0.0] * (1 << r)
-                for i, w in enumerate(entries):
-                    field_p[(w >> shift) & mask] += dist[i]
-                child_dist = [0.0] * (1 << child.in_bits)
-                for rv in range(1 << r):
-                    p = field_p[rv] * u_s
-                    if p:
-                        base = rv << s
-                        for sv in range(1 << s):
-                            child_dist[base + sv] = p
-                next_dists.append(child_dist)
-        dists = next_dists
+        dist = [0.0] * (1 << child.in_bits)
+        for rv in range(1 << r):
+            p = field_p[rv] * u_s
+            if p:
+                base = rv << s
+                for sv in range(1 << s):
+                    dist[base + sv] = p
 
     class_bits = spec.class_bits
-    n_classes = 1 << class_bits
     leaf = lutset.luts[-1]
-    n_sym = leaf.out_bits // class_bits
-    mask = n_classes - 1
-    per_entry: list[tuple[int, ...]] = []
-    for w in leaf.entries:
-        cnt = [0] * n_classes
-        for k in range(n_sym):
-            cnt[(w >> (class_bits * (n_sym - 1 - k))) & mask] += 1
-        per_entry.append(tuple(cnt))
-    totals = [0.0] * n_classes
-    for dist in dists:
-        for i, cnt in enumerate(per_entry):
-            p = dist[i]
-            if p:
-                for c in range(n_classes):
-                    if cnt[c]:
-                        totals[c] += p * cnt[c]
+    totals = [0.0] * (1 << class_bits)
+    for p, w in zip(dist, leaf.entries):
+        if p:
+            for c in unpack_symbols(BitWord(w, leaf.out_bits), class_bits):
+                totals[c] += p
     grand = sum(totals)
     return tuple(x / grand for x in totals)
 

@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .bits import BitWord, pack_symbols, unpack_symbols
 from .mapping import amplitude_pairs
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
@@ -195,42 +196,20 @@ def _pack_words_le(words: Sequence[int], width: int) -> bytes:
     """Pack fixed-width words into a little-endian bit stream.
 
     Bit k of the stream is bit (k & 7) of byte (k >> 3); each word
-    contributes its bits LSB first.
+    contributes its bits LSB first. That is the MSB-first packing of the
+    reversed words, read as a little-endian integer.
     """
-    buf = bytearray()
-    acc = 0
-    nbits = 0
-    for w in words:
-        acc |= w << nbits
-        nbits += width
-        while nbits >= 8:
-            buf.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        buf.append(acc & 0xFF)
-    return bytes(buf)
+    return pack_symbols(reversed(words), width).value.to_bytes((len(words) * width + 7) // 8, "little")
 
 
-def _unpack_words_le(data: bytes, width: int, count: int) -> list[int]:
+def _unpack_words_le(data: bytes, width: int, count: int) -> tuple[int, ...]:
     """Inverse of _pack_words_le; the padding bits after the last word must be zero."""
     if len(data) != (count * width + 7) // 8:
         raise LutFormatError(f"layer blob has {len(data)} bytes, expected {(count * width + 7) // 8}")
-    mask = (1 << width) - 1
-    out = []
-    acc = 0
-    nbits = 0
-    for byte in data:
-        acc |= byte << nbits
-        nbits += 8
-        while nbits >= width:
-            out.append(acc & mask)
-            acc >>= width
-            nbits -= width
-    # Padding narrower than a byte may still hold whole words past count.
-    if acc or any(out[count:]):
+    value = int.from_bytes(data, "little")
+    if value >> (count * width):
         raise LutFormatError("nonzero padding bits in layer blob")
-    return out[:count]
+    return unpack_symbols(BitWord(value, count * width), width)[::-1]
 
 
 def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
@@ -261,6 +240,23 @@ def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
             f.write(packed)
 
 
+# Type of every key of a LUT-file header besides "format".
+_HEADER_TYPES = {"m": int, "m_sb": int, "layers": list, "class_energy": list, "spec_sha256": str}
+
+
+def _check_header(header: object) -> None:
+    """Raise LutFormatError unless the header is an object holding every key with its type."""
+    if not isinstance(header, dict):
+        raise LutFormatError(f"header is a {type(header).__name__}, not an object")
+    if header.get("format") != LUTFILE_FORMAT:
+        raise LutFormatError(f"unsupported format {header.get('format')!r}")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header.get(key), kind):
+            raise LutFormatError(f"header key {key!r} is missing or not a {kind.__name__}")
+    if not all(isinstance(e, (int, float)) for e in header["class_energy"]):
+        raise LutFormatError("header class energies must be numbers")
+
+
 def load_lutset(path: str | os.PathLike) -> LutSet:
     """Read the binary format, rebuild derived data, and validate.
 
@@ -277,8 +273,7 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
             header = json.loads(f.read(header_len).decode())
         except ValueError as exc:
             raise LutFormatError(f"unreadable header: {exc}") from exc
-        if header.get("format") != LUTFILE_FORMAT:
-            raise LutFormatError(f"unsupported format {header.get('format')!r}")
+        _check_header(header)
         spec = validate_tree(header["layers"], header["m"], header["m_sb"])
         if spec_fingerprint(spec) != header["spec_sha256"]:
             raise LutFormatError("spec fingerprint mismatch")

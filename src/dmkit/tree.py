@@ -129,6 +129,8 @@ def _normalize_row(row: Mapping[str, Any] | LayerParams) -> dict[str, Any]:
             "in_bits": row.in_bits,
             "out_bits": row.out_bits,
         }
+    if not isinstance(row, Mapping):
+        raise TreeConfigError(f"layer row {row!r} is not an object")
     out: dict[str, Any] = {field: None for field in _FIELD_FOR_KEY.values()}
     for key, value in row.items():
         if key not in _FIELD_FOR_KEY:

@@ -1,6 +1,7 @@
 import pytest
 
 from dmkit import synthesize_tree, validate_tree
+from dmkit.cli import SELFTEST_TREES
 
 # The bundled 7-layer table (m=8, m_sb=4): 507 -> 640 bits, 320 PAM symbols.
 SEVEN_LAYER_ROWS = [
@@ -13,16 +14,9 @@ SEVEN_LAYER_ROWS = [
     {"l": 1, "t": 2, "T": 64, "r": 6, "s": 3, "v": 9, "u": 10},
 ]
 
-# Small trees whose codebooks can be enumerated exhaustively.
-TREE2_ROWS = [
-    {"l": 2, "T": 1, "s": 2, "v": 2, "u": 4},
-    {"l": 1, "t": 2, "r": 2, "s": 1, "v": 3, "u": 4},
-]
-TREE3_ROWS = [
-    {"l": 3, "T": 1, "s": 2, "v": 2, "u": 4},
-    {"l": 2, "t": 2, "r": 2, "s": 2, "v": 4, "u": 4},
-    {"l": 1, "t": 2, "r": 2, "s": 1, "v": 3, "u": 4},
-]
+# Small trees whose codebooks can be enumerated exhaustively: the ones
+# `dmkit selftest` checks.
+(_, TREE2_ROWS), (_, TREE3_ROWS) = SELFTEST_TREES
 
 # One-LUT trees: a shaping one (v < u) and a keep-everything one (v = u).
 SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]

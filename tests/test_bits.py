@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dmkit import BitWord, pack_symbols, read_bitfile, unpack_symbols, write_bitfile
@@ -17,13 +19,13 @@ def test_bounds():
 
 
 def test_bits_roundtrip():
-    w = BitWord.from_bits([1, 0, 1, 1, 0])
+    w = pack_symbols([1, 0, 1, 1, 0], 1)
     assert w.value == 0b10110
     assert w.width == 5
     assert len(w) == 5
-    assert w.bits() == (1, 0, 1, 1, 0)
+    assert unpack_symbols(w, 1) == (1, 0, 1, 1, 0)
     with pytest.raises(ValueError):
-        BitWord.from_bits([0, 2])
+        pack_symbols([0, 2], 1)
 
 
 def test_field_msb_first():
@@ -37,12 +39,6 @@ def test_field_msb_first():
         w.field(9, 4)
     with pytest.raises(ValueError):
         w.field(-1, 2)
-
-
-def test_concat():
-    w = BitWord.concat([BitWord(0b10, 2), BitWord(0b011, 3), BitWord(0, 0)])
-    assert (w.value, w.width) == (0b10011, 5)
-    assert BitWord.concat([]) == BitWord(0, 0)
 
 
 def test_bytes_and_hex():
@@ -65,6 +61,24 @@ def test_pack_unpack_symbols():
         pack_symbols([4], 2)
     with pytest.raises(ValueError):
         unpack_symbols(BitWord(0, 7), 2)
+    with pytest.raises(ValueError):
+        pack_symbols([], 0)
+    with pytest.raises(ValueError):
+        unpack_symbols(BitWord(0, 0), 0)
+
+    # Against a reference that shifts one symbol at a time. Lengths 5, 17 and
+    # 100 end in a partial last block at every width but 64.
+    rng = random.Random(11)
+    for width in (1, 2, 3, 7, 8, 9, 10, 13, 64, 507):
+        top = (1 << width) - 1
+        for n in (0, 1, 5, 17, 100):
+            symbols = (top,) * min(n, 1) + tuple(rng.getrandbits(width) for _ in range(n - 1))
+            value = 0
+            for s in symbols:
+                value = (value << width) | s
+            word = pack_symbols(iter(symbols), width)
+            assert word == BitWord(value, n * width)
+            assert unpack_symbols(word, width) == symbols
 
 
 def test_bitfile_roundtrip(tmp_path):

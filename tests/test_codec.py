@@ -14,6 +14,7 @@ from dmkit import (
     encode,
     encode_stream,
     load_test_vectors,
+    pack_symbols,
     split_info,
     synthesize_tree,
     validate_tree,
@@ -121,7 +122,7 @@ def test_decode_rejects_bad_word_above_leaves(full_lutset):
     leaf = full_lutset.lut_for_layer(1)
     chunks = [leaf.entries[r_left << s1], leaf.entries[r_right << s1]]
     chunks += [leaf.entries[0]] * (spec.leaf.lut_count - 2)
-    shaped = BitWord.concat([BitWord(c, spec.leaf.out_bits) for c in chunks])
+    shaped = pack_symbols(chunks, spec.leaf.out_bits)
     with pytest.raises(InvalidWord) as exc:
         decode(full_lutset, shaped)
     assert exc.value.layer_index == 2
@@ -149,14 +150,25 @@ def test_chain_tree_with_empty_info_fields():
         assert decode(lutset, encode(lutset, word)) == word
 
 
-def test_stream_is_stateless(tree3_lutset):
-    spec = tree3_lutset.spec
+@pytest.mark.parametrize(
+    "lutset_name, n_words, tail_bits",
+    # 17 bundled words span more than one 8-word byte-aligned block.
+    [("tree3_lutset", 3, 0), ("full_lutset", 17, 200)],
+    ids=["tree3", "seven-layer"],
+)
+def test_stream_is_stateless(request, lutset_name, n_words, tail_bits):
+    lutset = request.getfixturevalue(lutset_name)
+    spec = lutset.spec
     rng = random.Random(5)
-    words = [BitWord(rng.getrandbits(spec.n_info), spec.n_info) for _ in range(3)]
-    stream = BitWord.concat(words)
-    shaped = encode_stream(tree3_lutset, stream)
-    assert shaped == BitWord.concat([encode(tree3_lutset, w) for w in words])
-    assert decode_stream(tree3_lutset, shaped) == stream
+    words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
+    tail = rng.getrandbits(tail_bits)
+    stream = pack_symbols(words, spec.n_info)
+    stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
+    shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
+    if tail_bits:
+        words.append(tail << (spec.n_info - tail_bits))
+    assert shaped == pack_symbols([encode(lutset, BitWord(w, spec.n_info)).value for w in words], spec.n_out)
+    assert decode_stream(lutset, shaped) == pack_symbols(words, spec.n_info)
 
 
 def test_stream_empty(tree3_lutset):

@@ -48,6 +48,8 @@ def test_rejects_malformed_sections(tmp_path):
         parse_config({"m": 8, "layers": TREE2_ROWS})
     with pytest.raises(TreeConfigError, match="list"):
         parse_config({"m": 8, "m_sb": 4, "layers": {"l": 1}})
+    with pytest.raises(TreeConfigError, match="not an object"):
+        parse_config({"m": 8, "m_sb": 4, "layers": ["x"]})
     with pytest.raises(TreeConfigError, match="object"):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": [1, 2]})
     with pytest.raises(TreeConfigError, match="composition and k"):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dmkit import (
@@ -261,6 +263,24 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     extra.write_bytes(bytes(raw) + b"\x00")
     with pytest.raises(LutFormatError, match="trailing"):
         load_lutset(extra)
+
+    # Header edits that once escaped as AttributeError, KeyError or TypeError.
+    header_len = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + header_len])
+    payload = bytes(raw[12 + header_len :])
+    edits = [
+        [],
+        {**header, "layers": "x"},
+        {k: v for k, v in header.items() if k != "m"},
+        {k: v for k, v in header.items() if k != "spec_sha256"},
+        {**header, "class_energy": 3},
+    ]
+    edited = tmp_path / "header.lut"
+    for doc in edits:
+        blob = json.dumps(doc).encode()
+        edited.write_bytes(bytes(raw[:8]) + len(blob).to_bytes(4, "little") + blob + payload)
+        with pytest.raises(LutFormatError, match="header"):
+            load_lutset(edited)
 
     # Two entries of u = 2 bits per layer leave four padding bits in each blob.
     padded_rows = [{"l": 2, "T": 1, "s": 1, "v": 1, "u": 2}, {"l": 1, "t": 2, "r": 1, "s": 0, "v": 1, "u": 2}]
