@@ -1,10 +1,12 @@
 """Assembly of 16-PAM amplitudes and 256-QAM symbols.
 
-Each PAM symbol carries four label bits: sign (most significant), two
-shaped class bits, and one uniform least significant bit. The two class
-bits select one of four magnitude pairs, ordered by energy; the LSB picks
-the member of the pair, the sign bit the polarity. Only the class bits are
-shaped; sign and LSB stay uniform.
+dmkit shapes one modulation: 256-QAM, i.e. m = 8 bits per QAM symbol of
+which m_sb = 4 are shaped. Each PAM symbol carries four label bits: sign
+(most significant), two shaped class bits, and one uniform least
+significant bit. The two class bits select one of four magnitude pairs,
+ordered by energy; the LSB picks the member of the pair, the sign bit the
+polarity. Only the class bits are shaped; sign and LSB stay uniform, so a
+class costs the mean squared magnitude of its pair (CLASS_ENERGIES).
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ AMPLITUDES = (1, 3, 5, 7, 9, 11, 13, 15)
 def amplitude_pairs() -> tuple[tuple[int, int], ...]:
     """The magnitude pair addressed by each class index."""
     return tuple((b, b + 2) for b in PAIR_BASE)
+
+
+# Energy of each class with a uniform LSB: (5, 37, 101, 197), ascending.
+CLASS_ENERGIES = tuple((a * a + b * b) / 2 for a, b in amplitude_pairs())
 
 
 def assemble(class_index: int, lsb_bit: int, sign_bit: int) -> int:

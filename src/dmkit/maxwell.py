@@ -14,17 +14,21 @@ from dataclasses import dataclass
 
 from .mapping import AMPLITUDES
 
+# Bisection stops once |two_h - target| <= _TOL, or fails after _MAX_ITER steps.
+_TOL = 1e-9
+_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class MbDistribution:
+    """p_abs[i] is P(|X| = AMPLITUDES[i])."""
+
     lam: float
-    amplitudes: tuple[int, ...]
     p_abs: tuple[float, ...]
 
     @property
     def pam_energy(self) -> float:
         """Mean squared amplitude of one PAM symbol."""
-        return sum(p * a * a for p, a in zip(self.p_abs, self.amplitudes))
+        return sum(p * a * a for p, a in zip(self.p_abs, AMPLITUDES))
 
     @property
     def qam_energy(self) -> float:
@@ -48,45 +52,39 @@ class MbDistribution:
         return neg + pos
 
 
-def mb_distribution(lam: float, amplitudes: tuple[int, ...] = AMPLITUDES) -> MbDistribution:
-    """The distribution for a given rate parameter (lam >= 0)."""
+def mb_distribution(lam: float) -> MbDistribution:
+    """The distribution over the 16-PAM magnitudes for a rate parameter lam >= 0."""
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    weights = [math.exp(-lam * a * a) for a in amplitudes]
+    weights = [math.exp(-lam * a * a) for a in AMPLITUDES]
     z = sum(weights)
-    return MbDistribution(lam=lam, amplitudes=tuple(amplitudes), p_abs=tuple(w / z for w in weights))
+    return MbDistribution(lam=lam, p_abs=tuple(w / z for w in weights))
 
 
-def mb_fit(
-    target_two_h: float,
-    amplitudes: tuple[int, ...] = AMPLITUDES,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> MbDistribution:
+def mb_fit(target_two_h: float) -> MbDistribution:
     """Solve for the distribution whose QAM entropy matches target_two_h.
 
-    The solvable range is (2, 2(log2(len(amplitudes)) + 1)]; the upper end
-    is the uniform distribution (lam = 0). Bisection stops when
-    |two_h - target| <= tol.
+    The solvable range is (2, 8]; the upper end is the uniform distribution
+    (lam = 0). Bisection stops when |two_h - target| <= 1e-9.
     """
-    top = mb_distribution(0.0, amplitudes)
+    top = mb_distribution(0.0)
     if not 2.0 < target_two_h <= top.two_h:
         raise ValueError(f"target {target_two_h} outside solvable range (2, {top.two_h}]")
-    if abs(top.two_h - target_two_h) <= tol:
+    if abs(top.two_h - target_two_h) <= _TOL:
         return top
 
     lo = 0.0  # two_h(lo) > target
     hi = 1.0
-    while mb_distribution(hi, amplitudes).two_h > target_two_h:
+    while mb_distribution(hi).two_h > target_two_h:
         lo = hi
         hi *= 2.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        dist = mb_distribution(mid, amplitudes)
-        if abs(dist.two_h - target_two_h) <= tol:
+        dist = mb_distribution(mid)
+        if abs(dist.two_h - target_two_h) <= _TOL:
             return dist
         if dist.two_h > target_two_h:
             lo = mid
         else:
             hi = mid
-    raise ArithmeticError(f"bisection did not reach {tol} in {max_iter} iterations")
+    raise ArithmeticError(f"bisection did not reach {_TOL} in {_MAX_ITER} iterations")

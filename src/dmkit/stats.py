@@ -3,16 +3,18 @@
 exact_class_pmf propagates index distributions down the tree: the top
 index is uniform over its information bits; a layer's entry distribution
 induces the distribution of each child's parent field, and a child index
-is that field joined with uniform information bits. At the symbol side
-the per-entry class counts are averaged. Every intermediate probability
-is a dyadic rational, so the accumulation is exact within the bound that
-exact_class_pmf states.
+is that field joined with uniform information bits. The leaf is one more
+step of the same walk, whose fields are the 2-bit class symbols. Every
+intermediate probability is a dyadic rational, so the accumulation is
+exact within the bound that exact_class_pmf states.
 
-stats_from_pmf turns a class or magnitude distribution into the usual
-shaped-signal figures: mean QAM symbol energy, QAM symbol entropy
-2H(X) = 2(H(|X|) + 1) with the unshaped sign and LSB uniform, the maximum
-spectral efficiency beta at code rate 1, the rate loss 2H(X) - beta, and
-the constellation gain (2^beta - 1) d_min^2 / (6 E) in dB.
+stats_from_pmf turns a class or magnitude distribution of the fixed
+256-QAM labeling (see mapping) into the usual shaped-signal figures: mean
+QAM symbol energy, QAM symbol entropy 2H(X) = 2(H(|X|) + 1) with the
+unshaped sign and LSB uniform, the maximum spectral efficiency beta at
+code rate 1, the rate loss 2H(X) - beta, and the constellation gain
+(2^beta - 1) d_min^2 / (6 E) in dB, with d_min = 2 between neighbouring
+16-PAM amplitudes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from typing import Mapping, Sequence
 from .bits import BitWord, unpack_symbols
 from .ccdm import CcdmCode
 from .codec import encode
+from .mapping import AMPLITUDES, PAIR_BASE
 from .maxwell import MbDistribution, mb_fit
 from .synthesis import LutSet
 
 DEFAULT_SEED = 12345
+D_MIN = 2.0
 
 # Published statistics of the bundled 7-layer 256-QAM configuration with a
 # 320-symbol word, used by the comparison report to show deltas.
@@ -72,7 +76,7 @@ class StatsReport:
     beta: float
     r_loss: float
     gain_db: float
-    d_min: float = 2.0
+    d_min: float = D_MIN
 
     def as_dict(self) -> dict[str, float]:
         out = {f"p_abs_{2 * i + 1}": p for i, p in enumerate(self.p_abs)}
@@ -109,37 +113,28 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     root-to-leaf path), so the propagation is exact while Σs + log2(T_1)
     stays within the 53-bit double mantissa (39 bits on the bundled tree);
     the class totals add log2 of the symbols per leaf word to that.
+
+    Each layer's output splits into fields: the children's r-bit parent
+    fields above the leaf, class symbols at the leaf, whose field totals
+    are the class distribution before normalization.
     """
     spec = lutset.spec
     dist = [1.0 / (1 << spec.top.in_bits)] * (1 << spec.top.in_bits)
-    for pos in range(spec.depth - 1):
-        child = spec.layers[pos + 1]
-        t, r, s = child.fanin, child.parent_bits, child.info_bits
-        entries = lutset.luts[pos].entries
-        mask = (1 << r) - 1
-        field_p = [0.0] * (1 << r)
-        for j in range(t):
-            shift = r * (t - 1 - j)
-            for i, w in enumerate(entries):
-                field_p[(w >> shift) & mask] += dist[i]
-        u_s = 1.0 / (1 << s)
-        dist = [0.0] * (1 << child.in_bits)
-        for rv in range(1 << r):
-            p = field_p[rv] * u_s
-            if p:
-                base = rv << s
-                for sv in range(1 << s):
-                    dist[base + sv] = p
-
-    class_bits = spec.class_bits
-    leaf = lutset.luts[-1]
-    totals = [0.0] * (1 << class_bits)
-    for p, w in zip(dist, leaf.entries):
-        if p:
-            for c in unpack_symbols(BitWord(w, leaf.out_bits), class_bits):
-                totals[c] += p
-    grand = sum(totals)
-    return tuple(x / grand for x in totals)
+    for pos, lut in enumerate(lutset.luts):
+        child = spec.layers[pos + 1] if pos + 1 < spec.depth else None
+        width = spec.class_bits if child is None else child.parent_bits
+        n_fields = lut.out_bits // width
+        mask = (1 << width) - 1
+        field_p = [0.0] * (1 << width)
+        for j in range(n_fields):
+            shift = width * (n_fields - 1 - j)
+            for p, w in zip(dist, lut.entries):
+                field_p[(w >> shift) & mask] += p
+        if child is not None:
+            u_s = 1.0 / (1 << child.info_bits)
+            dist = [p * u_s for p in field_p for _ in range(1 << child.info_bits)]
+    grand = sum(field_p)
+    return tuple(x / grand for x in field_p)
 
 
 def monte_carlo_pmf(
@@ -182,76 +177,57 @@ def monte_carlo_pmf(
     return tuple(means), tuple(stderr)
 
 
+def _beta(n_info: int, n_pam: int) -> float:
+    """Spectral efficiency of n_info bits on n_pam PAM symbols plus the uniform sign and LSB."""
+    return 2.0 * (2 + n_info / n_pam)
+
+
 def stats_from_pmf(
     pmf: Sequence[float],
     *,
     n_info: int | None = None,
     n_pam: int | None = None,
-    m: int = 8,
-    m_sb: int = 4,
     beta: float | None = None,
-    d_min: float = 2.0,
 ) -> StatsReport:
     """Shaped-signal statistics from a class or magnitude distribution.
 
-    pmf with 2^(m_sb/2) entries is a class distribution (the unshaped LSB
-    splits each class evenly over its pair); with 2^(m/2 - 1) entries it is
-    already the magnitude distribution. beta defaults to
-    2((m - m_sb)/2 + n_info/n_pam) when the word sizes are given, else to
-    2H(X) (a zero-rate-loss reference).
+    pmf with 4 entries is a class distribution over PAIR_BASE (the unshaped
+    LSB splits each class evenly over its pair); with 8 entries it is
+    already the distribution over AMPLITUDES. beta defaults to
+    2(2 + n_info/n_pam) when the word sizes are given, else to 2H(X) (a
+    zero-rate-loss reference).
     """
-    if m_sb % 2 or not 2 <= m_sb <= m:
-        raise ValueError(f"need even m_sb with 2 <= m_sb <= m, got m={m}, m_sb={m_sb}")
     _check_pmf(pmf)
-    n_classes = 1 << (m_sb // 2)
-    n_amps = 1 << (m // 2 - 1)
-    if len(pmf) == n_classes:
-        members = n_amps // n_classes
-        p_abs = tuple(p / members for p in pmf for _ in range(members))
-    elif len(pmf) == n_amps:
+    if len(pmf) == len(PAIR_BASE):
+        p_abs = tuple(p / 2 for p in pmf for _ in range(2))
+    elif len(pmf) == len(AMPLITUDES):
         p_abs = tuple(pmf)
     else:
-        raise ValueError(f"pmf length {len(pmf)} is neither {n_classes} classes nor {n_amps} magnitudes")
-    amplitudes = tuple(2 * i + 1 for i in range(n_amps))
-    energy = 2.0 * sum(p * a * a for p, a in zip(p_abs, amplitudes))
+        raise ValueError(
+            f"pmf length {len(pmf)} is neither {len(PAIR_BASE)} classes nor {len(AMPLITUDES)} magnitudes"
+        )
+    energy = 2.0 * sum(p * a * a for p, a in zip(p_abs, AMPLITUDES))
     two_h = 2.0 * (entropy_bits(p_abs) + 1.0)
     if beta is None:
         if (n_info is None) != (n_pam is None):
             raise ValueError("give both n_info and n_pam, or neither")
-        if n_info is not None:
-            beta = 2.0 * ((m - m_sb) / 2 + n_info / n_pam)
-        else:
-            beta = two_h
+        beta = two_h if n_info is None else _beta(n_info, n_pam)
     r_loss = two_h - beta
-    gain_db = 10.0 * math.log10((2.0**beta - 1.0) * d_min * d_min / (6.0 * energy))
-    return StatsReport(
-        p_abs=p_abs,
-        energy=energy,
-        two_h=two_h,
-        beta=beta,
-        r_loss=r_loss,
-        gain_db=gain_db,
-        d_min=d_min,
-    )
+    gain_db = 10.0 * math.log10((2.0**beta - 1.0) * D_MIN * D_MIN / (6.0 * energy))
+    return StatsReport(p_abs=p_abs, energy=energy, two_h=two_h, beta=beta, r_loss=r_loss, gain_db=gain_db)
 
 
 def stats_for_lutset(lutset: LutSet) -> StatsReport:
     """Exact statistics of the tree matcher's output."""
     spec = lutset.spec
-    return stats_from_pmf(
-        exact_class_pmf(lutset),
-        n_info=spec.n_info,
-        n_pam=spec.n_pam,
-        m=spec.bits_per_qam,
-        m_sb=spec.shaped_bits_per_qam,
-    )
+    return stats_from_pmf(exact_class_pmf(lutset), n_info=spec.n_info, n_pam=spec.n_pam)
 
 
-def stats_for_ccdm(code: CcdmCode, m: int = 8, m_sb: int = 4) -> StatsReport:
+def stats_for_ccdm(code: CcdmCode) -> StatsReport:
     """Statistics of a constant-composition code (class pmf = counts/n, exact)."""
     n = code.composition.n
     class_pmf = tuple(c / n for c in code.composition.counts)
-    return stats_from_pmf(class_pmf, n_info=code.k, n_pam=n, m=m, m_sb=m_sb)
+    return stats_from_pmf(class_pmf, n_info=code.k, n_pam=n)
 
 
 def stats_for_mb(dist: MbDistribution, beta: float | None = None) -> StatsReport:
@@ -270,11 +246,10 @@ def comparison_report(
     tree's beta so all columns compare at equal rate.
     """
     spec = lutset.spec
-    m, m_sb = spec.bits_per_qam, spec.shaped_bits_per_qam
     if mb_target_two_h is None:
-        mb_target_two_h = 2.0 * ((m - m_sb) / 2 + spec.n_info / spec.n_pam)
+        mb_target_two_h = _beta(spec.n_info, spec.n_pam)
     return {
-        "ccdm": stats_for_ccdm(code, m=m, m_sb=m_sb),
+        "ccdm": stats_for_ccdm(code),
         "hidm": stats_for_lutset(lutset),
         "mb": stats_for_mb(mb_fit(mb_target_two_h)),
     }

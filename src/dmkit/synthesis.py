@@ -5,9 +5,9 @@ fixed-width fields, leftmost field first; its score is the sum, over its
 fields, of a cost per field value, and the cheapest 2^v candidates are
 kept. Above the leaf a field is the r-bit parent value of one child and
 its cost is that child's band energy. The leaf is the same table with
-2-bit amplitude-class symbols as fields and the class energies as costs.
-The tree is built bottom-up, so each layer's costs are known when it is
-ranked.
+2-bit amplitude-class symbols as fields and the fixed class energies of
+the 16-PAM pair labeling (mapping.CLASS_ENERGIES) as costs. The tree is
+built bottom-up, so each layer's costs are known when it is ranked.
 
 Entries are stored in ascending (energy, numeric value) order, so a LUT
 index doubles as an energy rank. A v-bit index is composed as the r parent
@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bits import BitWord, pack_symbols, unpack_symbols
-from .mapping import amplitude_pairs
+from .mapping import CLASS_ENERGIES
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
@@ -38,36 +38,6 @@ LUTFILE_FORMAT = 1
 
 class LutFormatError(ValueError):
     """A serialized LUT set is malformed or inconsistent."""
-
-
-def pair_class_energies(pairs: Iterable[Sequence[int]]) -> tuple[float, ...]:
-    """Mean squared magnitude per class, one class per magnitude group.
-
-    Groups must be disjoint sets of positive odd magnitudes, listed in
-    ascending energy order (class index order is energy order).
-    """
-    seen: set[int] = set()
-    energies: list[float] = []
-    for i, members in enumerate(pairs):
-        if not members:
-            raise ValueError(f"class {i} has no members")
-        for a in members:
-            if a <= 0 or a % 2 == 0:
-                raise ValueError(f"magnitude {a} must be positive and odd")
-            if a in seen:
-                raise ValueError(f"magnitude {a} appears in more than one class")
-            seen.add(a)
-        energies.append(sum(a * a for a in members) / len(members))
-    if not energies:
-        raise ValueError("no classes given")
-    for lo, hi in zip(energies, energies[1:]):
-        if hi <= lo:
-            raise ValueError(f"class energies must be strictly increasing, got {energies}")
-    return tuple(energies)
-
-
-# Energies of the four classes under the standard pair layout, uniform LSB.
-DEFAULT_CLASS_ENERGIES = pair_class_energies(amplitude_pairs())
 
 
 @dataclass(frozen=True)
@@ -99,7 +69,6 @@ class LutSet:
     spec: TreeSpec
     luts: tuple[Lut, ...]
     inverse: tuple[dict[int, int], ...]
-    class_energies: tuple[float, ...]
 
     def lut_for_layer(self, layer_index: int) -> Lut:
         return self.luts[self.spec.depth - layer_index]
@@ -145,20 +114,13 @@ def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
     )
 
 
-def synthesize_leaf_lut(
-    layer: LayerParams,
-    class_energies: Sequence[float] = DEFAULT_CLASS_ENERGIES,
-    class_bits: int = 2,
-) -> Lut:
-    """Build the symbol-side table; its fields are class_bits-bit class symbols."""
-    n_classes = 1 << class_bits
-    if len(class_energies) != n_classes:
-        raise ValueError(f"need {n_classes} class energies, got {len(class_energies)}")
-    if layer.out_bits % class_bits:
-        raise ValueError(f"leaf output width {layer.out_bits} not divisible by {class_bits}")
+def synthesize_leaf_lut(layer: LayerParams) -> Lut:
+    """Build the symbol-side table; its fields are 2-bit class symbols costing CLASS_ENERGIES."""
+    if layer.out_bits % 2:
+        raise ValueError(f"leaf output width {layer.out_bits} not divisible by 2")
     if layer.in_bits > layer.out_bits:
         raise ValueError(f"v={layer.in_bits} exceeds u={layer.out_bits}")
-    return _ranked_lut(layer, class_energies)
+    return _ranked_lut(layer, CLASS_ENERGIES)
 
 
 def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]) -> Lut:
@@ -177,19 +139,16 @@ def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]
     return _ranked_lut(layer, child_band_energy)
 
 
-def synthesize_tree(
-    spec: TreeSpec,
-    class_energies: Sequence[float] = DEFAULT_CLASS_ENERGIES,
-) -> LutSet:
+def synthesize_tree(spec: TreeSpec) -> LutSet:
     """Build every layer bottom-up and the mirror maps."""
     by_layer: dict[int, Lut] = {}
-    by_layer[1] = synthesize_leaf_lut(spec.leaf, class_energies, spec.class_bits)
+    by_layer[1] = synthesize_leaf_lut(spec.leaf)
     for layer_index in range(2, spec.depth + 1):
         layer = spec.layer(layer_index)
         by_layer[layer_index] = synthesize_parent_lut(layer, by_layer[layer_index - 1].band_energy)
     luts = tuple(by_layer[layer.layer_index] for layer in spec.layers)
     inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
-    return LutSet(spec=spec, luts=luts, inverse=inverse, class_energies=tuple(class_energies))
+    return LutSet(spec=spec, luts=luts, inverse=inverse)
 
 
 def _pack_words_le(words: Sequence[int], width: int) -> bytes:
@@ -226,7 +185,7 @@ def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
         "m": spec.bits_per_qam,
         "m_sb": spec.shaped_bits_per_qam,
         "layers": spec_to_mappings(spec),
-        "class_energy": list(lutset.class_energies),
+        "class_energy": list(CLASS_ENERGIES),
         "spec_sha256": spec_fingerprint(spec),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -240,12 +199,15 @@ def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
             f.write(packed)
 
 
-# Type of every key of a LUT-file header besides "format".
-_HEADER_TYPES = {"m": int, "m_sb": int, "layers": list, "class_energy": list, "spec_sha256": str}
+# Type of every key of a LUT-file header besides "format" and "class_energy".
+_HEADER_TYPES = {"m": int, "m_sb": int, "layers": list, "spec_sha256": str}
 
 
 def _check_header(header: object) -> None:
-    """Raise LutFormatError unless the header is an object holding every key with its type."""
+    """Raise LutFormatError unless the header is an object holding every key with its type.
+
+    The class-energy table is not a parameter: it must equal CLASS_ENERGIES.
+    """
     if not isinstance(header, dict):
         raise LutFormatError(f"header is a {type(header).__name__}, not an object")
     if header.get("format") != LUTFILE_FORMAT:
@@ -253,16 +215,16 @@ def _check_header(header: object) -> None:
     for key, kind in _HEADER_TYPES.items():
         if not isinstance(header.get(key), kind):
             raise LutFormatError(f"header key {key!r} is missing or not a {kind.__name__}")
-    if not all(isinstance(e, (int, float)) for e in header["class_energy"]):
-        raise LutFormatError("header class energies must be numbers")
+    if header.get("class_energy") != list(CLASS_ENERGIES):
+        raise LutFormatError(f"header class energies {header.get('class_energy')!r} are not {list(CLASS_ENERGIES)}")
 
 
 def load_lutset(path: str | os.PathLike) -> LutSet:
     """Read the binary format, rebuild derived data, and validate.
 
-    Energies are recomputed from the class-energy table (they are not
-    stored); entries are checked for width, injectivity, and ascending
-    (energy, value) order.
+    Energies are recomputed from CLASS_ENERGIES (they are not stored);
+    entries are checked for width and strictly ascending (energy, value)
+    order, which also makes them injective.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -277,7 +239,6 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
         spec = validate_tree(header["layers"], header["m"], header["m_sb"])
         if spec_fingerprint(spec) != header["spec_sha256"]:
             raise LutFormatError("spec fingerprint mismatch")
-        class_energies = tuple(float(e) for e in header["class_energy"])
         entries_per_layer = []
         for layer in spec.layers:
             nbytes = int.from_bytes(f.read(4), "little")
@@ -285,14 +246,10 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
             entries_per_layer.append(_unpack_words_le(data, layer.out_bits, 1 << layer.in_bits))
         if f.read(1):
             raise LutFormatError("trailing bytes after last layer")
-    return lutset_from_entries(spec, entries_per_layer, class_energies)
+    return lutset_from_entries(spec, entries_per_layer)
 
 
-def lutset_from_entries(
-    spec: TreeSpec,
-    entries_per_layer: Sequence[Sequence[int]],
-    class_energies: Sequence[float] = DEFAULT_CLASS_ENERGIES,
-) -> LutSet:
+def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int]]) -> LutSet:
     """Assemble a LutSet from explicit per-layer entries (top-down order).
 
     Recomputes entry and band energies bottom-up and enforces the table
@@ -301,9 +258,7 @@ def lutset_from_entries(
     """
     if len(entries_per_layer) != spec.depth:
         raise LutFormatError(f"expected {spec.depth} layers of entries, got {len(entries_per_layer)}")
-    if len(class_energies) != 1 << spec.class_bits:
-        raise LutFormatError(f"need {1 << spec.class_bits} class energies, got {len(class_energies)}")
-    cost: Sequence[float] = class_energies
+    cost: Sequence[float] = CLASS_ENERGIES
     luts: list[Lut] = []
     for layer in reversed(spec.layers):
         layer_index = layer.layer_index
@@ -311,18 +266,18 @@ def lutset_from_entries(
         if len(entries) != 1 << layer.in_bits:
             raise LutFormatError(f"layer {layer_index}: expected {1 << layer.in_bits} entries")
         limit = 1 << layer.out_bits
-        seen: set[int] = set()
         for w in entries:
             if not 0 <= w < limit:
                 raise LutFormatError(f"layer {layer_index}: entry {w} wider than u={layer.out_bits}")
-            if w in seen:
-                raise LutFormatError(f"layer {layer_index}: duplicate entry {w}")
-            seen.add(w)
         sums = _field_sums(cost, layer.out_bits)
         energies = tuple(sums[w] for w in entries)
+        # The costs are finite, so a duplicate entry ties with its neighbour.
         for i in range(1, len(entries)):
-            if (energies[i], entries[i]) < (energies[i - 1], entries[i - 1]):
-                raise LutFormatError(f"layer {layer_index}: entries not in (energy, value) order at {i}")
+            if (energies[i], entries[i]) <= (energies[i - 1], entries[i - 1]):
+                raise LutFormatError(
+                    f"layer {layer_index}: duplicate or out-of-order entry at {i}, "
+                    "not in strictly ascending (energy, value) order"
+                )
         lut = Lut(
             layer_index=layer_index,
             in_bits=layer.in_bits,
@@ -335,4 +290,4 @@ def lutset_from_entries(
         cost = lut.band_energy
     luts.reverse()
     inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
-    return LutSet(spec=spec, luts=tuple(luts), inverse=inverse, class_energies=tuple(class_energies))
+    return LutSet(spec=spec, luts=tuple(luts), inverse=inverse)

@@ -10,7 +10,9 @@ PAM symbol.
 
 validate_tree is the constructor path: it checks every structural
 invariant and computes the derived totals (information bits in, shaped
-bits out, PAM symbols out).
+bits out, PAM symbols out). The modulation is fixed (see mapping): m and
+m_sb must be 8 and 4; they stay in the config, the LUT-file header and
+the spec fingerprint.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ def validate_tree(
 
     _check_count(m, "m", 1)
     _check_count(m_sb, "m_sb", 2)
-    if m_sb % 2 or m_sb > m:
-        raise GranularityViolation(f"m_sb must be even and <= m, got m_sb={m_sb}, m={m}")
+    if (m, m_sb) != (8, 4):
+        raise GranularityViolation(f"dmkit shapes 256-QAM only: need m=8, m_sb=4, got m={m}, m_sb={m_sb}")
     class_bits = m_sb // 2
 
     # Per-layer width checks.

@@ -8,8 +8,8 @@ import time
 from dmkit import (
     BitWord,
     CcdmCode,
+    CLASS_ENERGIES,
     Composition,
-    DEFAULT_CLASS_ENERGIES,
     ccdm_decode,
     ccdm_encode,
     decode,
@@ -164,7 +164,7 @@ def test_criterion_6_oracle_equivalence():
     for rows in (TREE2_ROWS, TREE3_ROWS):
         spec = validate_tree(rows, 8, 4)
         lutset = synthesize_tree(spec)
-        scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, DEFAULT_CLASS_ENERGIES)
+        scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, CLASS_ENERGIES)
         bands = oracle_bands(scored, spec.leaf.parent_bits, spec.leaf.info_bits)
         if list(lutset.lut_for_layer(1).entries) != [w for _, w in scored]:
             mismatches += 1

@@ -106,6 +106,16 @@ def test_bad_config_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and "extra" in err
 
 
+def test_other_modulation_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "qam1024.json"
+    cfg.write_text(json.dumps({"m": 10, "m_sb": 4, "layers": TREE3_ROWS}))
+    assert main(["stats", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "m=10" in captured.err
+
+
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -72,12 +72,12 @@ def test_exhaustive_codebook(fixture, request):
 def test_codebook_minimum_energy_at_zero(tree3_lutset):
     # Index zero selects the cheapest entry everywhere, so no input can
     # produce a cheaper shaped word.
-    from dmkit import DEFAULT_CLASS_ENERGIES, unpack_symbols
+    from dmkit import CLASS_ENERGIES, unpack_symbols
 
     spec = tree3_lutset.spec
 
     def word_energy(shaped):
-        return sum(DEFAULT_CLASS_ENERGIES[s] for s in unpack_symbols(shaped, 2))
+        return sum(CLASS_ENERGIES[s] for s in unpack_symbols(shaped, 2))
 
     zero_energy = word_energy(encode(tree3_lutset, BitWord(0, spec.n_info)))
     for value in range(1 << spec.n_info):

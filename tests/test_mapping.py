@@ -4,7 +4,7 @@ import pytest
 
 from dmkit import (
     BitWord,
-    DEFAULT_CLASS_ENERGIES,
+    CLASS_ENERGIES,
     amplitude_pairs,
     assemble,
     encode,
@@ -41,10 +41,10 @@ def test_assemble_is_a_bijection():
 
 def test_pair_energy_matches_class_table():
     for c, (a, b) in enumerate(amplitude_pairs()):
-        assert (a * a + b * b) / 2 == DEFAULT_CLASS_ENERGIES[c]
+        assert (a * a + b * b) / 2 == CLASS_ENERGIES[c]
         # uniform LSB picks each member half the time
         mean = (assemble(c, 0, 0) ** 2 + assemble(c, 1, 0) ** 2) / 2
-        assert mean == DEFAULT_CLASS_ENERGIES[c]
+        assert mean == CLASS_ENERGIES[c]
 
 
 def test_word_to_qam_single_symbol():

@@ -1,4 +1,10 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import dmkit
+
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_public_names_resolve_sorted_and_unique():
@@ -6,3 +12,14 @@ def test_public_names_resolve_sorted_and_unique():
     assert [n for n in names if not hasattr(dmkit, n)] == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_benchmark_shims_resolve():
+    # The benchmark times dmkit by rebinding these module attributes, so a
+    # renamed or deleted one would otherwise only show in a benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SHIMS
+    missing = [(m, a) for m, a, _ in spans.SHIMS if not hasattr(importlib.import_module("dmkit." + m), a)]
+    assert missing == []

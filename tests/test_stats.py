@@ -6,9 +6,9 @@ import pytest
 
 from dmkit import (
     BitWord,
+    CLASS_ENERGIES,
     CcdmCode,
     Composition,
-    DEFAULT_CLASS_ENERGIES,
     comparison_report,
     encode,
     entropy_bits,
@@ -72,7 +72,7 @@ def test_exact_pmf_agrees_with_top_band_energy(full_lutset):
     # The top band mean is the expected word energy, so dividing by the
     # symbol count must reproduce the pmf's mean class energy.
     pmf = exact_class_pmf(full_lutset)
-    mean_from_pmf = sum(p * e for p, e in zip(pmf, DEFAULT_CLASS_ENERGIES))
+    mean_from_pmf = sum(p * e for p, e in zip(pmf, CLASS_ENERGIES))
     top_mean = full_lutset.luts[0].band_energy[0] / full_lutset.spec.n_pam
     assert abs(mean_from_pmf - top_mean) <= 1e-9
 
@@ -153,8 +153,6 @@ def test_stats_input_validation():
         stats_from_pmf([0.2] * 5, beta=7.0)  # 5 entries fit neither shape
     with pytest.raises(ValueError):
         stats_from_pmf([0.25] * 4, n_info=100)  # n_pam missing
-    with pytest.raises(ValueError):
-        stats_from_pmf([0.25] * 4, m=8, m_sb=5)
 
 
 def test_rate_loss_nonnegative_everywhere(full_lutset):

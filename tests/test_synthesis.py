@@ -3,11 +3,10 @@ import json
 import pytest
 
 from dmkit import (
-    DEFAULT_CLASS_ENERGIES,
+    CLASS_ENERGIES,
     LayerParams,
     LutFormatError,
     load_lutset,
-    pair_class_energies,
     save_lutset,
     synthesize_leaf_lut,
     synthesize_parent_lut,
@@ -48,29 +47,6 @@ def oracle_bands(scored, r, s):
         sum(e for e, _ in scored[b * 2**s : (b + 1) * 2**s]) / 2**s
         for b in range(2**r)
     ]
-
-
-# --- class energies ----------------------------------------------------------
-
-
-def test_pair_class_energies_standard():
-    assert pair_class_energies([(1, 3), (5, 7), (9, 11), (13, 15)]) == (5, 37, 101, 197)
-
-
-def test_pair_class_energies_small_cases():
-    assert pair_class_energies([(1,)]) == (1,)
-    assert pair_class_energies([(3, 5)]) == (17,)
-
-
-def test_pair_class_energies_rejects_bad_classes():
-    with pytest.raises(ValueError, match="more than one class"):
-        pair_class_energies([(1, 3), (3, 5)])
-    with pytest.raises(ValueError, match="odd"):
-        pair_class_energies([(2, 4)])
-    with pytest.raises(ValueError, match="increasing"):
-        pair_class_energies([(5, 7), (1, 3)])
-    with pytest.raises(ValueError):
-        pair_class_energies([])
 
 
 # --- single-layer synthesis --------------------------------------------------
@@ -134,7 +110,7 @@ def test_parent_rejects_bad_band_table():
 def test_tree_matches_selection_oracle(rows):
     spec = validate_tree(rows, 8, 4)
     lutset = synthesize_tree(spec)
-    scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, DEFAULT_CLASS_ENERGIES)
+    scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, CLASS_ENERGIES)
     bands = oracle_bands(scored, spec.leaf.parent_bits, spec.leaf.info_bits)
     assert scored_entries(lutset, 1) == (scored, bands)
     for layer_index in range(2, spec.depth + 1):
@@ -155,7 +131,7 @@ def test_single_layer_tree_is_one_leaf():
     spec = validate_tree(SINGLE_ROWS, 8, 4)
     lutset = synthesize_tree(spec)
     assert len(lutset.luts) == 1
-    scored = oracle_leaf(2, 4, DEFAULT_CLASS_ENERGIES)
+    scored = oracle_leaf(2, 4, CLASS_ENERGIES)
     assert list(lutset.luts[0].entries) == [w for _, w in scored]
 
 
@@ -183,14 +159,6 @@ def test_mirror_maps(full_lutset):
 
 def test_synthesis_deterministic(full_spec, full_lutset):
     assert synthesize_tree(full_spec) == full_lutset
-
-
-def test_custom_energy_table_changes_selection():
-    # With inverted costs hidden behind a valid ascending table the
-    # selection must follow the table, not the default.
-    spec = validate_tree(SINGLE_ROWS, 8, 4)
-    lutset = synthesize_tree(spec, (1.0, 2.0, 3.0, 100.0))
-    assert all((w >> 2) != 3 and (w & 3) != 3 for w in lutset.luts[0].entries)
 
 
 # --- serialization -------------------------------------------------------------
@@ -235,15 +203,6 @@ def test_entry_wider_than_u_rejected(tree2_lutset, layer, entry):
         lutset_from_entries(tree2_lutset.spec, rows)
 
 
-def test_class_energy_count_rejected(tree2_lutset):
-    from dmkit import lutset_from_entries
-
-    rows = [list(lut.entries) for lut in tree2_lutset.luts]
-    for energies in (DEFAULT_CLASS_ENERGIES[:3], DEFAULT_CLASS_ENERGIES + (300.0,)):
-        with pytest.raises(LutFormatError, match="class energies"):
-            lutset_from_entries(tree2_lutset.spec, rows, energies)
-
-
 def test_load_rejects_corruption(tmp_path, tree2_lutset):
     path = tmp_path / "t.lut"
     save_lutset(tree2_lutset, path)
@@ -264,7 +223,9 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     with pytest.raises(LutFormatError, match="trailing"):
         load_lutset(extra)
 
-    # Header edits that once escaped as AttributeError, KeyError or TypeError.
+    # Header edits that once escaped as AttributeError, KeyError or TypeError,
+    # and class-energy tables other than the labeling's, which once loaded
+    # silently as a different table.
     header_len = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12 : 12 + header_len])
     payload = bytes(raw[12 + header_len :])
@@ -274,6 +235,8 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
         {k: v for k, v in header.items() if k != "m"},
         {k: v for k, v in header.items() if k != "spec_sha256"},
         {**header, "class_energy": 3},
+        {**header, "class_energy": [5.0, 37.0, 101.0, 19710.0]},
+        {**header, "class_energy": [5.0, 37.0, 101.0]},
     ]
     edited = tmp_path / "header.lut"
     for doc in edits:

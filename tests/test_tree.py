@@ -95,6 +95,10 @@ def test_granularity_violations():
         validate_tree([{"l": 1, "T": 1, "s": 2, "v": 2, "u": 6}], 8, 4)
     with pytest.raises(GranularityViolation):
         validate_tree(SINGLE_ROWS, 8, 3)
+    # The modulation is fixed: 256-QAM with 4 shaped bits per QAM symbol.
+    for m, m_sb in ((6, 4), (10, 4), (8, 6), (8, 2)):
+        with pytest.raises(GranularityViolation):
+            validate_tree(SINGLE_ROWS, m, m_sb)
 
 
 def test_malformed_tables():
