@@ -121,6 +121,9 @@ def read_bitfile(path: str | os.PathLike) -> BitWord:
         magic = f.read(4)
         if magic != BITFILE_MAGIC:
             raise ValueError(f"not a bit file (bad magic {magic!r})")
-        width = int.from_bytes(f.read(8), "big")
+        count = f.read(8)
+        if len(count) != 8:
+            raise ValueError(f"bit file ends inside its bit count ({len(count)} of 8 bytes)")
+        width = int.from_bytes(count, "big")
         data = f.read()
     return BitWord.from_bytes(data, width)

@@ -127,11 +127,11 @@ def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):
         return f"{words} random words"
 
     def check_tables() -> str:
-        for layer, lut, inv in zip(spec.layers, lutset.luts, lutset.inverse):
+        for layer, lut, mirror in zip(spec.layers, lutset.luts, lutset.mirror):
             if len(set(lut.entries)) != len(lut.entries):
                 raise AssertionError(f"layer {layer.layer_index}: duplicate entries")
             for i, w in enumerate(lut.entries):
-                if inv[w] != i:
+                if mirror[w] != i:
                     raise AssertionError(f"layer {layer.layer_index}: mirror mismatch at {i}")
         return f"{spec.depth} layers injective with exact mirrors"
 

@@ -50,41 +50,27 @@ def split_info(spec: TreeSpec, word: BitWord) -> tuple[tuple[int, ...], ...]:
     if word.width != spec.n_info:
         raise ValueError(f"expected {spec.n_info} information bits, got {word.width}")
     fields = []
-    offset = 0
+    rest = word.width
     for layer in spec.layers:
         s = layer.info_bits
-        fields.append(tuple(word.field(offset + q * s, s) for q in range(layer.lut_count)))
-        offset += layer.lut_count * s
+        rest -= layer.lut_count * s
+        run = word.value >> rest  # this layer's T*s bits are the lowest of run
+        mask = (1 << s) - 1
+        fields.append(tuple([(run >> (s * q)) & mask for q in range(layer.lut_count - 1, -1, -1)]))
     return tuple(fields)
 
 
 def encode(lutset: LutSet, word: BitWord) -> BitWord:
     """Map an information word to its shaped word."""
     spec = lutset.spec
-    fields = split_info(spec, word)
+    *upper, (leaf, leaf_info) = zip(spec.layers, split_info(spec, word))
     parent_r = [0]  # r-value received by each LUT of the current layer; top gets none
-    out_value = 0
-    for pos, layer in enumerate(spec.layers):
-        lut = lutset.luts[pos]
+    for (layer, info), fields in zip(upper, lutset.fields):
         s = layer.info_bits
-        words = [
-            lut.entries[(parent_r[q] << s) | fields[pos][q]]
-            for q in range(layer.lut_count)
-        ]
-        if pos == spec.depth - 1:
-            for w in words:
-                out_value = (out_value << layer.out_bits) | w
-        else:
-            child = spec.layers[pos + 1]
-            t = child.fanin
-            r = child.parent_bits
-            mask = (1 << r) - 1
-            parent_r = [
-                (w >> (r * (t - 1 - j))) & mask
-                for w in words
-                for j in range(t)
-            ]
-    return BitWord(out_value, spec.n_out)
+        parent_r = [f[(p << s) | x] for p, x in zip(parent_r, info) for f in fields]
+    s = leaf.info_bits
+    entries = lutset.luts[-1].entries
+    return pack_symbols([entries[(p << s) | x] for p, x in zip(parent_r, leaf_info)], leaf.out_bits)
 
 
 def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
@@ -96,42 +82,27 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     spec = lutset.spec
     if shaped.width != spec.n_out:
         raise ValueError(f"expected {spec.n_out} shaped bits, got {shaped.width}")
-    s_fields: list[list[int]] = [[] for _ in spec.layers]
-
-    leaf = spec.leaf
-    leaf_inverse = lutset.inverse[-1]
-    s_mask = (1 << leaf.info_bits) - 1
-    child_r: list[int] = []
-    for q, chunk in enumerate(unpack_symbols(shaped, leaf.out_bits)):
-        idx = leaf_inverse.get(chunk)
-        if idx is None:
-            raise InvalidWord(1, q)
-        s_fields[spec.depth - 1].append(idx & s_mask)
-        child_r.append(idx >> leaf.info_bits)
-
-    for pos in range(spec.depth - 2, -1, -1):
+    words = unpack_symbols(shaped, spec.leaf.out_bits)
+    indices = []  # per layer, bottom-up, the table index of every LUT
+    for pos in range(spec.depth - 1, -1, -1):
         layer = spec.layers[pos]
-        child = spec.layers[pos + 1]
-        t = child.fanin
-        r = child.parent_bits
-        inverse = lutset.inverse[pos]
-        s_mask = (1 << layer.info_bits) - 1
-        next_r: list[int] = []
-        for q in range(layer.lut_count):
-            word = 0
-            for j in range(t):
-                word = (word << r) | child_r[q * t + j]
-            idx = inverse.get(word)
-            if idx is None:
-                raise InvalidWord(layer.layer_index, q)
-            s_fields[pos].append(idx & s_mask)
-            next_r.append(idx >> layer.info_bits)
-        child_r = next_r
-
+        mirror = lutset.mirror[pos]
+        idx = [mirror[w] for w in words]
+        if -1 in idx:
+            raise InvalidWord(layer.layer_index, idx.index(-1))
+        indices.append(idx)
+        if pos:
+            # Index = r (high) || s (low); t sibling r-values form the parent's word.
+            s, r, t = layer.info_bits, layer.parent_bits, layer.fanin
+            words = [i >> s for i in idx[::t]]
+            for j in range(1, t):
+                words = [(w << r) | (i >> s) for w, i in zip(words, idx[j::t])]
     value = 0
-    for pos, layer in enumerate(spec.layers):
-        for sv in s_fields[pos]:
-            value = (value << layer.info_bits) | sv
+    for layer, idx in zip(spec.layers, reversed(indices)):
+        s = layer.info_bits
+        mask = (1 << s) - 1
+        for i in idx:
+            value = (value << s) | (i & mask)
     return BitWord(value, spec.n_info)
 
 

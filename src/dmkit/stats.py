@@ -114,25 +114,21 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     stays within the 53-bit double mantissa (39 bits on the bundled tree);
     the class totals add log2 of the symbols per leaf word to that.
 
-    Each layer's output splits into fields: the children's r-bit parent
-    fields above the leaf, class symbols at the leaf, whose field totals
-    are the class distribution before normalization.
+    The walk reads each layer's LutSet.fields columns: the children's
+    r-bit parent fields above the leaf, class symbols at the leaf, whose
+    field totals are the class distribution before normalization.
     """
     spec = lutset.spec
     dist = [1.0 / (1 << spec.top.in_bits)] * (1 << spec.top.in_bits)
-    for pos, lut in enumerate(lutset.luts):
-        child = spec.layers[pos + 1] if pos + 1 < spec.depth else None
-        width = spec.class_bits if child is None else child.parent_bits
-        n_fields = lut.out_bits // width
-        mask = (1 << width) - 1
-        field_p = [0.0] * (1 << width)
-        for j in range(n_fields):
-            shift = width * (n_fields - 1 - j)
-            for p, w in zip(dist, lut.entries):
-                field_p[(w >> shift) & mask] += p
-        if child is not None:
-            u_s = 1.0 / (1 << child.info_bits)
-            dist = [p * u_s for p in field_p for _ in range(1 << child.info_bits)]
+    for pos, (lut, columns) in enumerate(zip(lutset.luts, lutset.fields)):
+        field_p = [0.0] * (1 << (lut.out_bits // len(columns)))
+        for column in columns:
+            for p, f in zip(dist, column):
+                field_p[f] += p
+        if pos + 1 < spec.depth:
+            n_s = 1 << spec.layers[pos + 1].info_bits
+            u_s = 1.0 / n_s
+            dist = [p * u_s for p in field_p for _ in range(n_s)]
     grand = sum(field_p)
     return tuple(x / grand for x in field_p)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .bits import BitWord, pack_symbols, unpack_symbols
@@ -60,21 +61,43 @@ class Lut:
 
 @dataclass(frozen=True)
 class LutSet:
-    """All per-layer tables plus the mirror maps, aligned with spec.layers.
+    """All per-layer tables, aligned with spec.layers, and their two lookup views.
 
-    inverse[i] maps a selected u-bit word of spec.layers[i] back to its
-    index; unselected words are absent. Treat instances as immutable.
+    Both views are built on first use and cached; equality compares only
+    spec and luts. Treat instances as immutable.
+
+    fields[i][j][e] is field j of entry e of spec.layers[i], leftmost field
+    first: above the leaf, the r-bit parent value sent to child j; at the
+    leaf, class symbol j. mirror[i][w] is the index of the u-bit word w in
+    spec.layers[i]'s table, or -1 for a word the table never emits (the
+    invDM table of 2^u addresses).
     """
 
     spec: TreeSpec
     luts: tuple[Lut, ...]
-    inverse: tuple[dict[int, int], ...]
 
     def lut_for_layer(self, layer_index: int) -> Lut:
         return self.luts[self.spec.depth - layer_index]
 
-    def inverse_for_layer(self, layer_index: int) -> dict[int, int]:
-        return self.inverse[self.spec.depth - layer_index]
+    @cached_property
+    def fields(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        widths = [child.parent_bits for child in self.spec.layers[1:]] + [self.spec.class_bits]
+        out = []
+        for lut, width in zip(self.luts, widths):
+            mask = (1 << width) - 1
+            shifts = range(lut.out_bits - width, -1, -width)
+            out.append(tuple(tuple([(w >> shift) & mask for w in lut.entries]) for shift in shifts))
+        return tuple(out)
+
+    @cached_property
+    def mirror(self) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for lut in self.luts:
+            table = [-1] * (1 << lut.out_bits)
+            for i, w in enumerate(lut.entries):
+                table[w] = i
+            out.append(tuple(table))
+        return tuple(out)
 
 
 def _band_means(energies: Sequence[float], parent_bits: int | None) -> tuple[float, ...]:
@@ -100,18 +123,25 @@ def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:
     return sums
 
 
-def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
-    """Keep the 2^v cheapest u-bit words in ascending (energy, value) order."""
-    kept = sorted(zip(_field_sums(cost, layer.out_bits), range(1 << layer.out_bits)))[: 1 << layer.in_bits]
-    energies = tuple(e for e, _ in kept)
+def _lut(layer: LayerParams, entries: tuple[int, ...], sums: Sequence[float]) -> Lut:
+    """The layer's Lut holding entries, with their scores looked up in sums."""
+    energies = tuple([sums[w] for w in entries])
     return Lut(
         layer_index=layer.layer_index,
         in_bits=layer.in_bits,
         out_bits=layer.out_bits,
-        entries=tuple(w for _, w in kept),
+        entries=entries,
         entry_energy=energies,
         band_energy=_band_means(energies, layer.parent_bits),
     )
+
+
+def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
+    """Keep the 2^v cheapest u-bit words in ascending (energy, value) order."""
+    sums = _field_sums(cost, layer.out_bits)
+    # A stable sort of the ascending words breaks energy ties by value.
+    kept = sorted(range(1 << layer.out_bits), key=sums.__getitem__)[: 1 << layer.in_bits]
+    return _lut(layer, tuple(kept), sums)
 
 
 def synthesize_leaf_lut(layer: LayerParams) -> Lut:
@@ -140,15 +170,11 @@ def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]
 
 
 def synthesize_tree(spec: TreeSpec) -> LutSet:
-    """Build every layer bottom-up and the mirror maps."""
-    by_layer: dict[int, Lut] = {}
-    by_layer[1] = synthesize_leaf_lut(spec.leaf)
-    for layer_index in range(2, spec.depth + 1):
-        layer = spec.layer(layer_index)
-        by_layer[layer_index] = synthesize_parent_lut(layer, by_layer[layer_index - 1].band_energy)
-    luts = tuple(by_layer[layer.layer_index] for layer in spec.layers)
-    inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
-    return LutSet(spec=spec, luts=luts, inverse=inverse)
+    """Build every layer bottom-up."""
+    luts = [synthesize_leaf_lut(spec.leaf)]
+    for layer in reversed(spec.layers[:-1]):
+        luts.append(synthesize_parent_lut(layer, luts[-1].band_energy))
+    return LutSet(spec=spec, luts=tuple(reversed(luts)))
 
 
 def _pack_words_le(words: Sequence[int], width: int) -> bytes:
@@ -223,8 +249,7 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
     """Read the binary format, rebuild derived data, and validate.
 
     Energies are recomputed from CLASS_ENERGIES (they are not stored);
-    entries are checked for width and strictly ascending (energy, value)
-    order, which also makes them injective.
+    lutset_from_entries then accepts only the synthesized selection.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -243,6 +268,8 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
         for layer in spec.layers:
             nbytes = int.from_bytes(f.read(4), "little")
             data = f.read(nbytes)
+            if len(data) != nbytes:
+                raise LutFormatError(f"file ends inside a layer blob of {nbytes} bytes")
             entries_per_layer.append(_unpack_words_le(data, layer.out_bits, 1 << layer.in_bits))
         if f.read(1):
             raise LutFormatError("trailing bytes after last layer")
@@ -252,9 +279,11 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
 def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int]]) -> LutSet:
     """Assemble a LutSet from explicit per-layer entries (top-down order).
 
-    Recomputes entry and band energies bottom-up and enforces the table
-    invariants; does not re-check that entries are the globally cheapest
-    selection (use synthesize_tree for that).
+    Recomputes entry and band energies bottom-up and accepts only the
+    synthesized tables: each layer's entries must be in strictly ascending
+    (energy, value) order, and no other word may rank at or below the last
+    entry in that order. Together these leave one possible table per
+    layer, the 2^v cheapest words in order.
     """
     if len(entries_per_layer) != spec.depth:
         raise LutFormatError(f"expected {spec.depth} layers of entries, got {len(entries_per_layer)}")
@@ -270,7 +299,8 @@ def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int
             if not 0 <= w < limit:
                 raise LutFormatError(f"layer {layer_index}: entry {w} wider than u={layer.out_bits}")
         sums = _field_sums(cost, layer.out_bits)
-        energies = tuple(sums[w] for w in entries)
+        lut = _lut(layer, entries, sums)
+        energies = lut.entry_energy
         # The costs are finite, so a duplicate entry ties with its neighbour.
         for i in range(1, len(entries)):
             if (energies[i], entries[i]) <= (energies[i - 1], entries[i - 1]):
@@ -278,16 +308,11 @@ def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int
                     f"layer {layer_index}: duplicate or out-of-order entry at {i}, "
                     "not in strictly ascending (energy, value) order"
                 )
-        lut = Lut(
-            layer_index=layer_index,
-            in_bits=layer.in_bits,
-            out_bits=layer.out_bits,
-            entries=entries,
-            entry_energy=energies,
-            band_energy=_band_means(energies, layer.parent_bits),
-        )
+        # The ordered entries all rank at or below the last one; any other
+        # word that does too would have been kept in place of an entry.
+        last_e, last_w = energies[-1], entries[-1]
+        if len([e for e in sums if e < last_e]) + sums[: last_w + 1].count(last_e) != len(entries):
+            raise LutFormatError(f"layer {layer_index}: entries are not the {len(entries)} cheapest words")
         luts.append(lut)
         cost = lut.band_energy
-    luts.reverse()
-    inverse = tuple({w: i for i, w in enumerate(lut.entries)} for lut in luts)
-    return LutSet(spec=spec, luts=tuple(luts), inverse=inverse)
+    return LutSet(spec=spec, luts=tuple(reversed(luts)))

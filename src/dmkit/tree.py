@@ -108,7 +108,6 @@ _FIELD_FOR_KEY = {
     "v": "in_bits",
     "u": "out_bits",
 }
-_KEY_FOR_FIELD = {v: k for k, v in _FIELD_FOR_KEY.items()}
 
 
 def _check_count(value: Any, name: str, minimum: int = 0) -> int:

@@ -93,3 +93,14 @@ def test_bitfile_roundtrip(tmp_path):
     bad.write_bytes(data)
     with pytest.raises(ValueError, match="magic"):
         read_bitfile(bad)
+
+
+def test_bitfile_truncated_bit_count(tmp_path):
+    path = tmp_path / "w.bits"
+    write_bitfile(path, BitWord(0, 0))
+    data = path.read_bytes()
+    assert read_bitfile(path) == BitWord(0, 0)
+    for cut in range(4, 12):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="bit count"):
+            read_bitfile(path)

@@ -98,6 +98,19 @@ def test_selftest_passes_on_small_config(tree3_config, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_truncated_bit_count_is_a_clean_error(tmp_path, tree3_lutfile, capsys, command):
+    # Two of the eight bit-count bytes once read as an empty stream, exit 0.
+    src = tmp_path / "short.bits"
+    src.write_bytes(b"DMB1\x00\x00")
+    out = tmp_path / "out.bits"
+    assert main([command, str(tree3_lutfile), str(src), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_config_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"m": 8, "m_sb": 4, "layers": TREE3_ROWS, "extra": 1}))

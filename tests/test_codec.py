@@ -17,6 +17,7 @@ from dmkit import (
     pack_symbols,
     split_info,
     synthesize_tree,
+    unpack_symbols,
     validate_tree,
 )
 from conftest import TREE3_ROWS
@@ -92,31 +93,29 @@ def test_random_roundtrip_full_tree(full_lutset):
         assert decode(full_lutset, encode(full_lutset, word)) == word
 
 
-def test_decode_rejects_unselected_leaf_chunk(full_lutset):
+@pytest.mark.parametrize("chunk", [0, 5, 63])
+def test_decode_rejects_unselected_leaf_chunk(full_lutset, chunk):
     spec = full_lutset.spec
-    leaf_inverse = full_lutset.inverse_for_layer(1)
-    bad_chunk = next(w for w in range(1 << spec.leaf.out_bits) if w not in leaf_inverse)
-    shaped = encode(full_lutset, BitWord(0, spec.n_info))
+    leaf_mirror = full_lutset.mirror[-1]
+    bad_chunk = next(w for w in range(1 << spec.leaf.out_bits) if leaf_mirror[w] == -1)
     u1 = spec.leaf.out_bits
-    tampered = BitWord(
-        (bad_chunk << (spec.n_out - u1)) | shaped.field(u1, spec.n_out - u1),
-        spec.n_out,
-    )
+    chunks = list(unpack_symbols(encode(full_lutset, BitWord(0, spec.n_info)), u1))
+    chunks[chunk] = bad_chunk
     with pytest.raises(InvalidWord) as exc:
-        decode(full_lutset, tampered)
+        decode(full_lutset, pack_symbols(chunks, u1))
     assert exc.value.layer_index == 1
-    assert exc.value.lut_index == 0
+    assert exc.value.lut_index == chunk
 
 
 def test_decode_rejects_bad_word_above_leaves(full_lutset):
     # Valid leaf chunks whose parent fields reassemble into a word the
     # layer-2 table never emits.
     spec = full_lutset.spec
-    inverse2 = full_lutset.inverse_for_layer(2)
+    mirror2 = full_lutset.mirror[spec.depth - 2]
     r1 = spec.leaf.parent_bits
     s1 = spec.leaf.info_bits
     bad = next(
-        w for w in range(1 << spec.layer(2).out_bits) if w not in inverse2
+        w for w in range(1 << spec.layer(2).out_bits) if mirror2[w] == -1
     )
     r_left, r_right = bad >> r1, bad & ((1 << r1) - 1)
     leaf = full_lutset.lut_for_layer(1)

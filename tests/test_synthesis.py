@@ -1,16 +1,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmkit import (
     CLASS_ENERGIES,
+    BitWord,
     LayerParams,
     LutFormatError,
+    TreeConfigError,
     load_lutset,
     save_lutset,
     synthesize_leaf_lut,
     synthesize_parent_lut,
     synthesize_tree,
+    unpack_symbols,
     validate_tree,
 )
 from conftest import SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
@@ -151,10 +156,23 @@ def test_band_energy_monotone(full_lutset):
 
 
 def test_mirror_maps(full_lutset):
-    for lut, inverse in zip(full_lutset.luts, full_lutset.inverse):
-        assert len(inverse) == len(lut.entries)
+    for lut, mirror in zip(full_lutset.luts, full_lutset.mirror):
+        assert len(mirror) == 1 << lut.out_bits
+        assert sum(i >= 0 for i in mirror) == len(lut.entries) == 1 << lut.in_bits
+        assert mirror.count(-1) == len(mirror) - len(lut.entries)
         for i, w in enumerate(lut.entries):
-            assert inverse[w] == i
+            assert mirror[w] == i
+
+
+def test_field_columns(full_lutset):
+    spec = full_lutset.spec
+    widths = [child.parent_bits for child in spec.layers[1:]] + [spec.class_bits]
+    for lut, columns, width in zip(full_lutset.luts, full_lutset.fields, widths):
+        assert len(columns) == lut.out_bits // width
+        for e, w in enumerate(lut.entries):
+            assert tuple(column[e] for column in columns) == unpack_symbols(BitWord(w, lut.out_bits), width)
+    # The views are caches: equality still compares spec and tables only.
+    assert synthesize_tree(spec) == full_lutset
 
 
 def test_synthesis_deterministic(full_spec, full_lutset):
@@ -255,3 +273,51 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     padding.write_bytes(bytes(raw))
     with pytest.raises(LutFormatError, match="padding"):
         load_lutset(padding)
+
+
+
+# --- corrupted files ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tree2_lutfile(tmp_path_factory, tree2_lutset):
+    path = tmp_path_factory.mktemp("corrupt") / "tree2.lut"
+    save_lutset(tree2_lutset, path)
+    return path
+
+
+def _loads_as(path, data: bytes):
+    """load_lutset of data, or None when it is rejected with a typed error."""
+    path.write_bytes(data)
+    try:
+        return load_lutset(path)
+    except (LutFormatError, TreeConfigError):
+        return None
+
+
+def test_every_payload_byte_flip_is_rejected(tree2_lutfile):
+    # One such flip, in the last leaf byte, once loaded as a different table.
+    raw = tree2_lutfile.read_bytes()
+    header_len = int.from_bytes(raw[8:12], "little")
+    edited = tree2_lutfile.with_name("flipped.lut")
+    for pos in range(12 + header_len, len(raw)):
+        for flip in range(1, 256):
+            data = bytearray(raw)
+            data[pos] ^= flip
+            assert _loads_as(edited, bytes(data)) is None, (pos, flip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_lut_never_loads_as_another_table(tree2_lutfile, tree2_lutset, data):
+    raw = tree2_lutfile.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        edited = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        buf = bytearray(raw)
+        positions = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=3, unique=True), label="positions")
+        for pos in positions:
+            buf[pos] ^= data.draw(st.integers(1, 255), label="flip")
+        edited = bytes(buf)
+    loaded = _loads_as(tree2_lutfile.with_name("edited.lut"), edited)
+    assert loaded is None or loaded == tree2_lutset
