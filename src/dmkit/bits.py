@@ -36,12 +36,6 @@ class BitWord:
     def __len__(self) -> int:
         return self.width
 
-    def field(self, offset: int, width: int) -> int:
-        """Value of the bits [offset, offset + width), MSB-first."""
-        if offset < 0 or width < 0 or offset + width > self.width:
-            raise ValueError(f"field [{offset}, {offset + width}) outside word of width {self.width}")
-        return (self.value >> (self.width - offset - width)) & ((1 << width) - 1)
-
     def to_bytes(self) -> bytes:
         n = (self.width + 7) // 8
         return (self.value << (8 * n - self.width)).to_bytes(n, "big")

@@ -9,12 +9,19 @@ and dematching are exact inverses at any block length.
 
 The number of sequences below a given first symbol follows from the
 multinomial recursion count(n; c0..) * c_i / n = count with c_i reduced,
-which is what rank/unrank walk, one position at a time.
+which is what rank/unrank walk, one position at a time. Each such term is
+an exact integer, so the sequences that start with any class below sym
+number total * (c_0 + ... + c_{sym-1}) // n: rank does one multiply-divide
+per position for them, and one more for the block it descends into. The
+codebook size, the multinomial coefficient of the composition, is computed
+once per Composition and cached on it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, floor
 from typing import Sequence
 
@@ -27,6 +34,15 @@ class CompositionMismatch(ValueError):
 
 class RankOverflow(ValueError):
     """A sequence ranks at or above 2^k and is outside the codebook."""
+
+
+def _multinomial(counts: Sequence[int]) -> int:
+    n = sum(counts)
+    out = 1
+    for c in counts:
+        out *= comb(n, c)
+        n -= c
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,20 +65,19 @@ class Composition:
         """Block length in symbols."""
         return sum(self.counts)
 
+    @cached_property
+    def _size(self) -> int:
+        return _multinomial(self.counts)
+
     @property
     def k_max(self) -> int:
         """floor(log2 of the codebook size), computed exactly."""
-        return multiset_count(self).bit_length() - 1
+        return self._size.bit_length() - 1
 
 
 def multiset_count(composition: Composition) -> int:
     """Number of distinct symbol orderings (exact multinomial coefficient)."""
-    n = composition.n
-    out = 1
-    for c in composition.counts:
-        out *= comb(n, c)
-        n -= c
-    return out
+    return composition._size
 
 
 def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
@@ -91,25 +106,35 @@ def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
 
 def unrank(composition: Composition, index: int) -> tuple[int, ...]:
     """The index-th sequence of the composition in lexicographic order."""
-    total = multiset_count(composition)
+    total = composition._size
     if not 0 <= index < total:
         raise ValueError(f"index {index} not in [0, {total})")
     counts = list(composition.counts)
-    n_rem = composition.n
     out = []
-    for _ in range(composition.n):
-        for c, remaining in enumerate(counts):
-            if not remaining:
-                continue
-            block = total * remaining // n_rem
-            if index < block:
-                total = block
-                counts[c] -= 1
-                out.append(c)
-                break
+    for n_rem in range(composition.n, 0, -1):
+        c = 0
+        block = total * counts[0] // n_rem
+        while index >= block:
             index -= block
-        n_rem -= 1
+            c += 1
+            block = total * counts[c] // n_rem
+        total = block
+        counts[c] -= 1
+        out.append(c)
     return tuple(out)
+
+
+def _rank(sequence: Sequence[int], counts: list[int], total: int) -> int:
+    # counts: per-class symbol counts of sequence (consumed); total: their multinomial.
+    index = 0
+    n_rem = len(sequence)
+    for sym in sequence:
+        if sym:  # no sequence sorts below class 0
+            index += total * sum(counts[:sym]) // n_rem
+        total = total * counts[sym] // n_rem
+        counts[sym] -= 1
+        n_rem -= 1
+    return index
 
 
 def rank(sequence: Sequence[int]) -> int:
@@ -125,17 +150,7 @@ def rank(sequence: Sequence[int]) -> int:
         if sym < 0:
             raise ValueError(f"negative symbol {sym}")
         counts[sym] += 1
-    total = multiset_count(Composition(tuple(counts)))
-    n_rem = len(sequence)
-    index = 0
-    for sym in sequence:
-        for c in range(sym):
-            if counts[c]:
-                index += total * counts[c] // n_rem
-        total = total * counts[sym] // n_rem
-        counts[sym] -= 1
-        n_rem -= 1
-    return index
+    return _rank(sequence, counts, _multinomial(counts))
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ class CcdmCode:
     def __post_init__(self) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
             raise ValueError(f"k must be a non-negative integer, got {self.k!r}")
-        if (1 << self.k) > multiset_count(self.composition):
+        if self.k > self.composition.k_max:
             raise ValueError(
                 f"k={self.k} exceeds the codebook capacity (k_max={self.composition.k_max})"
             )
@@ -161,23 +176,45 @@ def ccdm_encode(code: CcdmCode, bits: BitWord) -> tuple[int, ...]:
     return unrank(code.composition, bits.value)
 
 
+def _class_symbols(sequence: Sequence[int], composition: Composition) -> list[int]:
+    """The sequence as class indices, or CompositionMismatch for the first fault."""
+    counts = [0] * len(composition.counts)
+    out = []
+    for sym in sequence:
+        try:
+            c = operator.index(sym)
+        except TypeError:
+            c = -1
+        if not 0 <= c < len(counts):
+            raise CompositionMismatch(f"symbol {sym} outside {len(counts)} classes")
+        counts[c] += 1
+        out.append(c)
+    if tuple(counts) != composition.counts:
+        raise CompositionMismatch(
+            f"sequence has counts {tuple(counts)}, code expects {composition.counts}"
+        )
+    return out
+
+
 def ccdm_decode(code: CcdmCode, sequence: Sequence[int]) -> BitWord:
     """Recover the k input bits from a sequence.
 
-    Raises CompositionMismatch if the symbol counts differ from the code's
-    composition, RankOverflow if the sequence lies beyond the 2^k words in
-    use.
+    Raises CompositionMismatch if a symbol is not one of the code's class
+    indices or the symbol counts differ from the code's composition,
+    RankOverflow if the sequence lies beyond the 2^k words in use.
     """
-    counts = [0] * len(code.composition.counts)
-    for sym in sequence:
-        if not 0 <= sym < len(counts):
-            raise CompositionMismatch(f"symbol {sym} outside {len(counts)} classes")
-        counts[sym] += 1
-    if tuple(counts) != code.composition.counts:
-        raise CompositionMismatch(
-            f"sequence has counts {tuple(counts)}, code expects {code.composition.counts}"
-        )
-    r = rank(sequence)
+    comp = code.composition
+    seq = tuple(sequence)
+    # Fast path: bytes() takes only integers in range(256), and with the
+    # length right, matching counts of 0..K-1 leave no symbol outside them.
+    # Anything else is checked symbol by symbol, for the first fault.
+    try:
+        symbols = bytes(seq)
+    except (TypeError, ValueError):
+        symbols = b""
+    if len(symbols) != comp.n or tuple(map(symbols.count, range(len(comp.counts)))) != comp.counts:
+        symbols = _class_symbols(seq, comp)
+    r = _rank(symbols, list(comp.counts), comp._size)
     if r >= (1 << code.k):
         raise RankOverflow(f"rank {r} >= 2^{code.k}")
     return BitWord(r, code.k)

@@ -30,15 +30,13 @@ def test_bits_roundtrip():
 
 def test_field_msb_first():
     w = BitWord(0b1011_0010_1100, 12)
-    assert w.field(0, 4) == 0b1011
-    assert w.field(4, 4) == 0b0010
-    assert w.field(8, 4) == 0b1100
-    assert w.field(0, 12) == w.value
-    assert w.field(3, 0) == 0
+    assert unpack_symbols(w, 4) == (0b1011, 0b0010, 0b1100)
+    assert unpack_symbols(w, 6) == (0b101100, 0b101100)
+    assert unpack_symbols(w, 12) == (w.value,)
     with pytest.raises(ValueError):
-        w.field(9, 4)
+        unpack_symbols(w, 5)
     with pytest.raises(ValueError):
-        w.field(-1, 2)
+        unpack_symbols(w, 0)
 
 
 def test_bytes_and_hex():

@@ -119,6 +119,8 @@ def test_code_capacity_check():
         CcdmCode(Composition((2, 2)), 3)  # 8 > 6
     with pytest.raises(ValueError):
         CcdmCode(Composition((2, 2)), -1)
+    with pytest.raises(ValueError, match="capacity"):
+        CcdmCode(Composition((2, 2)), 2**62)  # compared against k_max, never shifted
 
 
 def test_toy_code_two_cases():
@@ -127,6 +129,15 @@ def test_toy_code_two_cases():
     assert ccdm_encode(code, BitWord(1, 1)) == (1, 0)
     assert ccdm_decode(code, (0, 1)) == BitWord(0, 1)
     assert ccdm_decode(code, (1, 0)) == BitWord(1, 1)
+
+
+def test_decode_symbols_beyond_one_byte():
+    code = CcdmCode(Composition((0,) * 299 + (1, 1)), 1)
+    assert ccdm_encode(code, BitWord(1, 1)) == (300, 299)
+    assert ccdm_decode(code, (300, 299)) == BitWord(1, 1)
+    assert ccdm_decode(code, [299, 300]) == BitWord(0, 1)
+    with pytest.raises(CompositionMismatch, match="symbol 301 outside 301 classes"):
+        ccdm_decode(code, (301, 299))
 
 
 def test_full_code_zero_input_is_sorted_sequence():
@@ -154,6 +165,17 @@ def test_decode_rejects_wrong_composition():
         ccdm_decode(code, (0, 0, 0, 1))
     with pytest.raises(CompositionMismatch):
         ccdm_decode(code, (0, 0, 1, 5))
+    # an out-of-range symbol is named before the counts are compared
+    with pytest.raises(CompositionMismatch, match="symbol 5 outside 2 classes"):
+        ccdm_decode(code, (0, 0, 0, 5))
+    with pytest.raises(CompositionMismatch, match="counts"):
+        ccdm_decode(code, (0, 1, 1, 1))
+    with pytest.raises(CompositionMismatch, match="counts"):
+        ccdm_decode(code, (0, 1, 1))
+    # symbols that are not integer class indices
+    for seq in [(0, 1.5, 1, 0), ("a", 0, 1, 1), (0, 0, 1, 1.0), (0, 0, 1, -1), (0, 0, 1, 256)]:
+        with pytest.raises(CompositionMismatch, match="outside 2 classes"):
+            ccdm_decode(code, seq)
 
 
 def test_decode_rejects_out_of_codebook_rank():
@@ -198,3 +220,60 @@ def test_unrank_is_lexicographically_increasing():
     seqs = [unrank(comp, i) for i in range(multiset_count(comp))]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+def _reference_unrank(counts, index):
+    """Reference unrank: one multiply-divide per class tried at each position."""
+    counts = list(counts)
+    n_rem = sum(counts)
+    total = math.factorial(n_rem)
+    for c in counts:
+        total //= math.factorial(c)
+    out = []
+    for _ in range(n_rem):
+        for c, remaining in enumerate(counts):
+            if not remaining:
+                continue
+            block = total * remaining // n_rem
+            if index < block:
+                total = block
+                counts[c] -= 1
+                out.append(c)
+                break
+            index -= block
+        n_rem -= 1
+    return tuple(out)
+
+
+def _reference_rank(sequence):
+    """Reference rank: one multiply-divide per smaller class at each position."""
+    counts = [0] * (max(sequence) + 1)
+    for sym in sequence:
+        counts[sym] += 1
+    n_rem = len(sequence)
+    total = math.factorial(n_rem)
+    for c in counts:
+        total //= math.factorial(c)
+    index = 0
+    for sym in sequence:
+        for c in range(sym):
+            if counts[c]:
+                index += total * counts[c] // n_rem
+        total = total * counts[sym] // n_rem
+        counts[sym] -= 1
+        n_rem -= 1
+    return index
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64), data=st.data())
+def test_rank_unrank_match_reference_beyond_small_blocks(n, data):
+    cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=5)))
+    counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))  # 1-6 classes summing to n
+    comp = Composition(counts)
+    index = data.draw(st.integers(min_value=0, max_value=multiset_count(comp) - 1))
+    seq = unrank(comp, index)
+    assert seq == _reference_unrank(counts, index)
+    assert rank(seq) == _reference_rank(seq) == index
+    shuffled = data.draw(st.permutations(seq))
+    assert rank(shuffled) == _reference_rank(shuffled)

@@ -119,6 +119,17 @@ def test_bad_config_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and "extra" in err
 
 
+def test_huge_ccdm_k_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "huge_k.json"
+    ccdm = {"composition": [2, 2], "k": 2**62}
+    cfg.write_text(json.dumps({"m": 8, "m_sb": 4, "layers": TREE3_ROWS, "ccdm": ccdm}))
+    assert main(["stats", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "capacity" in captured.err
+
+
 def test_other_modulation_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "qam1024.json"
     cfg.write_text(json.dumps({"m": 10, "m_sb": 4, "layers": TREE3_ROWS}))
