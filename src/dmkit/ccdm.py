@@ -14,7 +14,7 @@ an exact integer, so the sequences that start with any class below sym
 number total * (c_0 + ... + c_{sym-1}) // n: rank does one multiply-divide
 per position for them, and one more for the block it descends into. The
 codebook size, the multinomial coefficient of the composition, is computed
-once per Composition and cached on it.
+once per Composition and cached on it (Composition.size).
 """
 
 from __future__ import annotations
@@ -66,18 +66,25 @@ class Composition:
         return sum(self.counts)
 
     @cached_property
-    def _size(self) -> int:
+    def size(self) -> int:
+        """Codebook size: the number of distinct symbol orderings (exact multinomial coefficient)."""
         return _multinomial(self.counts)
 
     @property
     def k_max(self) -> int:
         """floor(log2 of the codebook size), computed exactly."""
-        return self._size.bit_length() - 1
+        return self.size.bit_length() - 1
 
 
-def multiset_count(composition: Composition) -> int:
-    """Number of distinct symbol orderings (exact multinomial coefficient)."""
-    return composition._size
+def check_pmf(pmf: Sequence[float]) -> None:
+    """Raise ValueError unless every entry is >= 0 and the entries sum to 1.
+
+    Both tests are written so that a NaN entry fails them.
+    """
+    if not all(p >= 0 for p in pmf):
+        raise ValueError(f"pmf has negative or NaN entries: {pmf}")
+    if not abs(sum(pmf) - 1.0) <= 1e-9:
+        raise ValueError(f"pmf sums to {sum(pmf)}, expected 1")
 
 
 def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
@@ -89,12 +96,7 @@ def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not class_pmf:
-        raise ValueError("empty pmf")
-    if any(p < 0 for p in class_pmf):
-        raise ValueError(f"pmf has negative entries: {class_pmf}")
-    if abs(sum(class_pmf) - 1.0) > 1e-9:
-        raise ValueError(f"pmf sums to {sum(class_pmf)}, expected 1")
+    check_pmf(class_pmf)
     scaled = [p * n for p in class_pmf]
     base = [floor(x) for x in scaled]
     deficit = n - sum(base)
@@ -106,7 +108,7 @@ def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
 
 def unrank(composition: Composition, index: int) -> tuple[int, ...]:
     """The index-th sequence of the composition in lexicographic order."""
-    total = composition._size
+    total = composition.size
     if not 0 <= index < total:
         raise ValueError(f"index {index} not in [0, {total})")
     counts = list(composition.counts)
@@ -214,7 +216,7 @@ def ccdm_decode(code: CcdmCode, sequence: Sequence[int]) -> BitWord:
         symbols = b""
     if len(symbols) != comp.n or tuple(map(symbols.count, range(len(comp.counts)))) != comp.counts:
         symbols = _class_symbols(seq, comp)
-    r = _rank(symbols, list(comp.counts), comp._size)
+    r = _rank(symbols, list(comp.counts), comp.size)
     if r >= (1 << code.k):
         raise RankOverflow(f"rank {r} >= 2^{code.k}")
     return BitWord(r, code.k)

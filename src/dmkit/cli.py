@@ -18,6 +18,7 @@ from typing import Sequence
 from .bits import BitWord, read_bitfile, unpack_symbols, write_bitfile
 from .codec import InvalidWord, decode, decode_stream, encode, encode_stream
 from .config import ToolkitConfig, builtin_config_path, load_config
+from .mapping import BITS_PER_QAM, CLASS_BITS, SHAPED_BITS_PER_QAM
 from .stats import (
     DEFAULT_SEED,
     comparison_report,
@@ -151,17 +152,17 @@ def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):
 
     def check_small_trees() -> str:
         for name, rows in SELFTEST_TREES:
-            toy_spec = validate_tree(rows, 8, 4)
+            toy_spec = validate_tree(rows, BITS_PER_QAM, SHAPED_BITS_PER_QAM)
             toy = synthesize_tree(toy_spec)
             seen = set()
-            counts = [0] * (1 << toy_spec.class_bits)
+            counts = [0] * (1 << CLASS_BITS)
             for value in range(1 << toy_spec.n_info):
                 w = BitWord(value, toy_spec.n_info)
                 shaped = encode(toy, w)
                 seen.add(shaped.value)
                 if decode(toy, shaped) != w:
                     raise AssertionError(f"{name}: round-trip failed at {value}")
-                for sym in unpack_symbols(shaped, toy_spec.class_bits):
+                for sym in unpack_symbols(shaped, CLASS_BITS):
                     counts[sym] += 1
             if len(seen) != 1 << toy_spec.n_info:
                 raise AssertionError(f"{name}: codebook not injective")

@@ -82,7 +82,7 @@ def load_config(path: str | os.PathLike) -> ToolkitConfig:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TreeConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TreeConfigError(f"{path}: config must be a JSON object")

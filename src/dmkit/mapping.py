@@ -1,17 +1,24 @@
 """Assembly of 16-PAM amplitudes and 256-QAM symbols.
 
 dmkit shapes one modulation: 256-QAM, i.e. m = 8 bits per QAM symbol of
-which m_sb = 4 are shaped. Each PAM symbol carries four label bits: sign
-(most significant), two shaped class bits, and one uniform least
-significant bit. The two class bits select one of four magnitude pairs,
-ordered by energy; the LSB picks the member of the pair, the sign bit the
-polarity. Only the class bits are shaped; sign and LSB stay uniform, so a
-class costs the mean squared magnitude of its pair (CLASS_ENERGIES).
+which m_sb = 4 are shaped (BITS_PER_QAM, SHAPED_BITS_PER_QAM); this
+module is the one home of those widths. Each PAM symbol carries four
+label bits: sign (most significant), two shaped class bits (CLASS_BITS),
+and one uniform least significant bit. The two class bits select one of
+four magnitude pairs, ordered by energy; the LSB picks the member of the
+pair, the sign bit the polarity. Only the class bits are shaped; sign and
+LSB stay uniform, so a class costs the mean squared magnitude of its pair
+(CLASS_ENERGIES).
 """
 
 from __future__ import annotations
 
 from .bits import BitWord, unpack_symbols
+
+BITS_PER_QAM = 8
+SHAPED_BITS_PER_QAM = 4
+# Shaped bits per PAM symbol: the width of one amplitude-class symbol.
+CLASS_BITS = 2
 
 # Magnitude pairs {1,3},{5,7},{9,11},{13,15}: natural-binary adjacent pairs
 # in ascending energy order.
@@ -49,7 +56,7 @@ def pam_amplitudes(shaped: BitWord, lsb_bits: BitWord, sign_bits: BitWord) -> tu
         raise ValueError(
             f"need 2n shaped bits and n lsb/sign bits, got {shaped.width}/{lsb_bits.width}/{sign_bits.width}"
         )
-    classes = unpack_symbols(shaped, 2)
+    classes = unpack_symbols(shaped, CLASS_BITS)
     lsb = unpack_symbols(lsb_bits, 1)
     sign = unpack_symbols(sign_bits, 1)
     return tuple(assemble(classes[i], lsb[i], sign[i]) for i in range(n))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bits import BitWord, unpack_symbols
-from .ccdm import CcdmCode
+from .ccdm import CcdmCode, check_pmf
 from .codec import encode
-from .mapping import AMPLITUDES, PAIR_BASE
-from .maxwell import MbDistribution, mb_fit
+from .mapping import AMPLITUDES, CLASS_BITS, PAIR_BASE
+from .maxwell import MbDistribution, mb_fit, qam_entropy
 from .synthesis import LutSet
 
 DEFAULT_SEED = 12345
@@ -76,7 +76,6 @@ class StatsReport:
     beta: float
     r_loss: float
     gain_db: float
-    d_min: float = D_MIN
 
     def as_dict(self) -> dict[str, float]:
         out = {f"p_abs_{2 * i + 1}": p for i, p in enumerate(self.p_abs)}
@@ -86,21 +85,9 @@ class StatsReport:
             beta=self.beta,
             r_loss=self.r_loss,
             gain_db=self.gain_db,
-            d_min=self.d_min,
+            d_min=D_MIN,
         )
         return out
-
-
-def entropy_bits(pmf: Sequence[float]) -> float:
-    """Shannon entropy in bits; zero-probability terms contribute nothing."""
-    return -sum(p * math.log2(p) for p in pmf if p > 0.0)
-
-
-def _check_pmf(pmf: Sequence[float]) -> None:
-    if any(p < 0 for p in pmf):
-        raise ValueError(f"pmf has negative entries: {pmf}")
-    if abs(sum(pmf) - 1.0) > 1e-9:
-        raise ValueError(f"pmf sums to {sum(pmf)}, expected 1")
 
 
 def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
@@ -148,13 +135,12 @@ def monte_carlo_pmf(
         raise ValueError("n_words must be >= 1")
     spec = lutset.spec
     rng = random.Random(seed)
-    class_bits = spec.class_bits
-    n_classes = 1 << class_bits
+    n_classes = 1 << CLASS_BITS
     sums = [0.0] * n_classes
     sq_sums = [0.0] * n_classes
     for _ in range(n_words):
         word = BitWord(rng.getrandbits(spec.n_info), spec.n_info)
-        symbols = unpack_symbols(encode(lutset, word), class_bits)
+        symbols = unpack_symbols(encode(lutset, word), CLASS_BITS)
         counts = [0] * n_classes
         for sym in symbols:
             counts[sym] += 1
@@ -183,17 +169,15 @@ def stats_from_pmf(
     *,
     n_info: int | None = None,
     n_pam: int | None = None,
-    beta: float | None = None,
 ) -> StatsReport:
     """Shaped-signal statistics from a class or magnitude distribution.
 
     pmf with 4 entries is a class distribution over PAIR_BASE (the unshaped
     LSB splits each class evenly over its pair); with 8 entries it is
-    already the distribution over AMPLITUDES. beta defaults to
-    2(2 + n_info/n_pam) when the word sizes are given, else to 2H(X) (a
-    zero-rate-loss reference).
+    already the distribution over AMPLITUDES. beta is 2(2 + n_info/n_pam)
+    when the word sizes are given, else 2H(X) (a zero-rate-loss reference).
     """
-    _check_pmf(pmf)
+    check_pmf(pmf)
     if len(pmf) == len(PAIR_BASE):
         p_abs = tuple(p / 2 for p in pmf for _ in range(2))
     elif len(pmf) == len(AMPLITUDES):
@@ -203,11 +187,10 @@ def stats_from_pmf(
             f"pmf length {len(pmf)} is neither {len(PAIR_BASE)} classes nor {len(AMPLITUDES)} magnitudes"
         )
     energy = 2.0 * sum(p * a * a for p, a in zip(p_abs, AMPLITUDES))
-    two_h = 2.0 * (entropy_bits(p_abs) + 1.0)
-    if beta is None:
-        if (n_info is None) != (n_pam is None):
-            raise ValueError("give both n_info and n_pam, or neither")
-        beta = two_h if n_info is None else _beta(n_info, n_pam)
+    two_h = qam_entropy(p_abs)
+    if (n_info is None) != (n_pam is None):
+        raise ValueError("give both n_info and n_pam, or neither")
+    beta = two_h if n_info is None else _beta(n_info, n_pam)
     r_loss = two_h - beta
     gain_db = 10.0 * math.log10((2.0**beta - 1.0) * D_MIN * D_MIN / (6.0 * energy))
     return StatsReport(p_abs=p_abs, energy=energy, two_h=two_h, beta=beta, r_loss=r_loss, gain_db=gain_db)
@@ -226,9 +209,9 @@ def stats_for_ccdm(code: CcdmCode) -> StatsReport:
     return stats_from_pmf(class_pmf, n_info=code.k, n_pam=n)
 
 
-def stats_for_mb(dist: MbDistribution, beta: float | None = None) -> StatsReport:
-    """Statistics of a Maxwell-Boltzmann reference (zero rate loss by default)."""
-    return stats_from_pmf(dist.p_abs, beta=beta)
+def stats_for_mb(dist: MbDistribution) -> StatsReport:
+    """Statistics of a Maxwell-Boltzmann reference (zero rate loss)."""
+    return stats_from_pmf(dist.p_abs)
 
 
 def comparison_report(
@@ -260,13 +243,8 @@ _SCALAR_ROWS = (
 )
 
 
-def render_text(
-    reports: Mapping[str, StatsReport],
-    reference: Mapping[str, Mapping[str, object]] | None = None,
-) -> str:
-    """Aligned text table; reference deltas in parentheses where known."""
-    if reference is None:
-        reference = PUBLISHED_REFERENCE
+def render_text(reports: Mapping[str, StatsReport]) -> str:
+    """Aligned text table; deltas from PUBLISHED_REFERENCE in parentheses where known."""
     names = list(reports)
     width = 22
 
@@ -282,14 +260,14 @@ def render_text(
         amp = 2 * i + 1
         row = f"P|X|({amp})".ljust(16)
         for name in names:
-            ref = reference.get(name, {}).get("p_abs")
+            ref = PUBLISHED_REFERENCE.get(name, {}).get("p_abs")
             ref_value = ref[i] if ref is not None else None  # type: ignore[index]
             row += cell(reports[name].p_abs[i], "{:10.4f}", "{:+.4f}", ref_value)
         lines.append(row)
     for label, attr, fmt, dfmt in _SCALAR_ROWS:
         row = label.ljust(16)
         for name in names:
-            ref_value = reference.get(name, {}).get(attr)
+            ref_value = PUBLISHED_REFERENCE.get(name, {}).get(attr)
             row += cell(getattr(reports[name], attr), fmt, dfmt, ref_value)  # type: ignore[arg-type]
         lines.append(row)
     return "\n".join(line.rstrip() for line in lines) + "\n"

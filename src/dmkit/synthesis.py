@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bits import BitWord, pack_symbols, unpack_symbols
-from .mapping import CLASS_ENERGIES
+from .mapping import BITS_PER_QAM, CLASS_BITS, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
@@ -76,12 +76,9 @@ class LutSet:
     spec: TreeSpec
     luts: tuple[Lut, ...]
 
-    def lut_for_layer(self, layer_index: int) -> Lut:
-        return self.luts[self.spec.depth - layer_index]
-
     @cached_property
     def fields(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        widths = [child.parent_bits for child in self.spec.layers[1:]] + [self.spec.class_bits]
+        widths = [child.parent_bits for child in self.spec.layers[1:]] + [CLASS_BITS]
         out = []
         for lut, width in zip(self.luts, widths):
             mask = (1 << width) - 1
@@ -208,8 +205,8 @@ def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
     spec = lutset.spec
     header = {
         "format": LUTFILE_FORMAT,
-        "m": spec.bits_per_qam,
-        "m_sb": spec.shaped_bits_per_qam,
+        "m": BITS_PER_QAM,
+        "m_sb": SHAPED_BITS_PER_QAM,
         "layers": spec_to_mappings(spec),
         "class_energy": list(CLASS_ENERGIES),
         "spec_sha256": spec_fingerprint(spec),
@@ -258,7 +255,7 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
         header_len = int.from_bytes(f.read(4), "little")
         try:
             header = json.loads(f.read(header_len).decode())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise LutFormatError(f"unreadable header: {exc}") from exc
         _check_header(header)
         spec = validate_tree(header["layers"], header["m"], header["m_sb"])

@@ -11,8 +11,10 @@ PAM symbol.
 validate_tree is the constructor path: it checks every structural
 invariant and computes the derived totals (information bits in, shaped
 bits out, PAM symbols out). The modulation is fixed (see mapping): m and
-m_sb must be 8 and 4; they stay in the config, the LUT-file header and
-the spec fingerprint.
+m_sb must be BITS_PER_QAM and SHAPED_BITS_PER_QAM; they stay in the
+config, the LUT-file header and the spec fingerprint. A LUT is at most
+MAX_OUT_BITS wide, which bounds every table and candidate set at 2^16
+entries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
+
+from .mapping import BITS_PER_QAM, CLASS_BITS, SHAPED_BITS_PER_QAM
+
+MAX_OUT_BITS = 16
 
 
 class TreeConfigError(ValueError):
@@ -36,7 +42,7 @@ class CountViolation(TreeConfigError):
 
 
 class WidthViolation(TreeConfigError):
-    """A bit-width field is out of range or inconsistent (v != r + s, or v > u)."""
+    """A bit-width field is out of range or inconsistent (v != r + s, v > u, or u > MAX_OUT_BITS)."""
 
 
 class GranularityViolation(TreeConfigError):
@@ -69,8 +75,6 @@ class TreeSpec:
     """
 
     layers: tuple[LayerParams, ...]
-    bits_per_qam: int
-    shaped_bits_per_qam: int
     n_info: int
     n_pam: int
     n_out: int
@@ -80,23 +84,12 @@ class TreeSpec:
         return len(self.layers)
 
     @property
-    def class_bits(self) -> int:
-        """Shaped bits per PAM symbol (width of one amplitude-class symbol)."""
-        return self.shaped_bits_per_qam // 2
-
-    @property
     def top(self) -> LayerParams:
         return self.layers[0]
 
     @property
     def leaf(self) -> LayerParams:
         return self.layers[-1]
-
-    def layer(self, layer_index: int) -> LayerParams:
-        """Row for 1-based layer_index."""
-        if not 1 <= layer_index <= self.depth:
-            raise IndexError(f"layer {layer_index} not in 1..{self.depth}")
-        return self.layers[self.depth - layer_index]
 
 
 _FIELD_FOR_KEY = {
@@ -118,18 +111,8 @@ def _check_count(value: Any, name: str, minimum: int = 0) -> int:
     return value
 
 
-def _normalize_row(row: Mapping[str, Any] | LayerParams) -> dict[str, Any]:
+def _normalize_row(row: Mapping[str, Any]) -> dict[str, Any]:
     """Turn an input row into {field: value or None} with unknown keys rejected."""
-    if isinstance(row, LayerParams):
-        return {
-            "layer_index": row.layer_index,
-            "fanin": row.fanin,
-            "lut_count": row.lut_count,
-            "parent_bits": row.parent_bits,
-            "info_bits": row.info_bits,
-            "in_bits": row.in_bits,
-            "out_bits": row.out_bits,
-        }
     if not isinstance(row, Mapping):
         raise TreeConfigError(f"layer row {row!r} is not an object")
     out: dict[str, Any] = {field: None for field in _FIELD_FOR_KEY.values()}
@@ -141,17 +124,17 @@ def _normalize_row(row: Mapping[str, Any] | LayerParams) -> dict[str, Any]:
 
 
 def validate_tree(
-    raw_layers: Iterable[Mapping[str, Any] | LayerParams],
+    raw_layers: Iterable[Mapping[str, Any]],
     m: int,
     m_sb: int,
 ) -> TreeSpec:
     """Validate a layer table and return the immutable TreeSpec.
 
     raw_layers may be given in any order; rows are mappings with the short
-    keys l/t/T/r/s/v/u or LayerParams instances. T may be omitted (it is
-    derived from the fanin chain); the top layer must omit t and r.
-    Validation is deterministic, and re-validating the layers of a returned
-    spec yields an equal spec.
+    keys l/t/T/r/s/v/u. T may be omitted (it is derived from the fanin
+    chain); the top layer must omit t and r. Validation is deterministic,
+    and re-validating spec_to_mappings of a returned spec yields an equal
+    spec.
     """
     rows = [_normalize_row(r) for r in raw_layers]
     if not rows:
@@ -167,9 +150,10 @@ def validate_tree(
 
     _check_count(m, "m", 1)
     _check_count(m_sb, "m_sb", 2)
-    if (m, m_sb) != (8, 4):
-        raise GranularityViolation(f"dmkit shapes 256-QAM only: need m=8, m_sb=4, got m={m}, m_sb={m_sb}")
-    class_bits = m_sb // 2
+    if (m, m_sb) != (BITS_PER_QAM, SHAPED_BITS_PER_QAM):
+        raise GranularityViolation(
+            f"dmkit shapes 256-QAM only: need m={BITS_PER_QAM}, m_sb={SHAPED_BITS_PER_QAM}, got m={m}, m_sb={m_sb}"
+        )
 
     # Per-layer width checks.
     for row in rows:
@@ -178,6 +162,8 @@ def validate_tree(
         s = _check_count(row["info_bits"], f"s (layer {l})")
         v = _check_count(row["in_bits"], f"v (layer {l})", 1)
         u = _check_count(row["out_bits"], f"u (layer {l})", 1)
+        if u > MAX_OUT_BITS:
+            raise WidthViolation(f"layer {l}: u={u} exceeds the widest supported LUT, u={MAX_OUT_BITS}")
         if is_top:
             if row["fanin"] is not None or row["parent_bits"] is not None:
                 raise TreeConfigError(f"top layer {l} must omit t and r")
@@ -218,15 +204,15 @@ def validate_tree(
             )
 
     leaf = rows[-1]
-    if leaf["out_bits"] % class_bits:
+    if leaf["out_bits"] % CLASS_BITS:
         raise GranularityViolation(
-            f"leaf output width {leaf['out_bits']} is not a multiple of {class_bits} bits per PAM symbol"
+            f"leaf output width {leaf['out_bits']} is not a multiple of {CLASS_BITS} bits per PAM symbol"
         )
     n_out = leaf["lut_count"] * leaf["out_bits"]
-    if n_out % m_sb:
-        raise GranularityViolation(f"output length {n_out} is not a multiple of m_sb={m_sb}")
+    if n_out % SHAPED_BITS_PER_QAM:
+        raise GranularityViolation(f"output length {n_out} is not a multiple of m_sb={SHAPED_BITS_PER_QAM}")
     n_info = sum(r["lut_count"] * r["info_bits"] for r in rows)
-    n_pam = n_out // class_bits
+    n_pam = n_out // CLASS_BITS
 
     layers = tuple(
         LayerParams(
@@ -240,14 +226,7 @@ def validate_tree(
         )
         for r in rows
     )
-    return TreeSpec(
-        layers=layers,
-        bits_per_qam=m,
-        shaped_bits_per_qam=m_sb,
-        n_info=n_info,
-        n_pam=n_pam,
-        n_out=n_out,
-    )
+    return TreeSpec(layers=layers, n_info=n_info, n_pam=n_pam, n_out=n_out)
 
 
 def lut_size_report(spec: TreeSpec) -> dict[str, int]:
@@ -278,10 +257,6 @@ def spec_to_mappings(spec: TreeSpec) -> list[dict[str, int]]:
 
 def spec_fingerprint(spec: TreeSpec) -> str:
     """Stable hex digest of the spec, used to pair serialized tables with configs."""
-    doc = {
-        "m": spec.bits_per_qam,
-        "m_sb": spec.shaped_bits_per_qam,
-        "layers": spec_to_mappings(spec),
-    }
+    doc = {"m": BITS_PER_QAM, "m_sb": SHAPED_BITS_PER_QAM, "layers": spec_to_mappings(spec)}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:32]

@@ -6,6 +6,8 @@ import random
 import time
 
 from dmkit import (
+    BITS_PER_QAM,
+    SHAPED_BITS_PER_QAM,
     BitWord,
     CcdmCode,
     CLASS_ENERGIES,
@@ -19,7 +21,6 @@ from dmkit import (
     builtin_config_path,
     mb_fit,
     monte_carlo_pmf,
-    multiset_count,
     rank,
     stats_for_ccdm,
     stats_for_lutset,
@@ -49,7 +50,7 @@ def test_criterion_1_config_reproduction():
     start = time.perf_counter()
     cfg = load_config(builtin_config_path())
     spec = cfg.spec
-    beta = 2 * ((spec.bits_per_qam - spec.shaped_bits_per_qam) / 2 + spec.n_info / spec.n_pam)
+    beta = 2 * ((BITS_PER_QAM - SHAPED_BITS_PER_QAM) / 2 + spec.n_info / spec.n_pam)
     elapsed = time.perf_counter() - start
     ok = (
         spec.n_info == 507
@@ -166,14 +167,14 @@ def test_criterion_6_oracle_equivalence():
         lutset = synthesize_tree(spec)
         scored = oracle_leaf(spec.leaf.in_bits, spec.leaf.out_bits, CLASS_ENERGIES)
         bands = oracle_bands(scored, spec.leaf.parent_bits, spec.leaf.info_bits)
-        if list(lutset.lut_for_layer(1).entries) != [w for _, w in scored]:
+        if list(lutset.luts[-1].entries) != [w for _, w in scored]:
             mismatches += 1
         for layer_index in range(2, spec.depth + 1):
-            layer = spec.layer(layer_index)
-            child = spec.layer(layer_index - 1)
+            layer = spec.layers[spec.depth - layer_index]
+            child = spec.layers[spec.depth - layer_index + 1]
             scored = oracle_parent(layer.in_bits, layer.out_bits, child.parent_bits, bands)
             bands = oracle_bands(scored, layer.parent_bits, layer.info_bits)
-            if list(lutset.lut_for_layer(layer_index).entries) != [w for _, w in scored]:
+            if list(lutset.luts[spec.depth - layer_index].entries) != [w for _, w in scored]:
                 mismatches += 1
         dp = exact_class_pmf(lutset)
         brute = brute_force_class_pmf(lutset)
@@ -203,7 +204,7 @@ def test_criterion_7_ccdm_properties():
             for c1 in range(n - c0 + 1):
                 for c2 in range(n - c0 - c1 + 1):
                     comp = Composition((c0, c1, c2, n - c0 - c1 - c2))
-                    total = multiset_count(comp)
+                    total = comp.size
                     if total > 10_000:
                         continue
                     checked += 1
@@ -211,7 +212,7 @@ def test_criterion_7_ccdm_properties():
                         if rank(unrank(comp, i)) != i:
                             mismatches += 1
 
-    count = multiset_count(Composition(FULL_COUNTS))
+    count = Composition(FULL_COUNTS).size
     by_factorials = math.factorial(320)
     for c in FULL_COUNTS:
         by_factorials //= math.factorial(c)

@@ -14,7 +14,6 @@ from dmkit import (
     ccdm_decode,
     ccdm_encode,
     composition_from_pmf,
-    multiset_count,
     pack_symbols,
     rank,
     unpack_symbols,
@@ -55,17 +54,21 @@ def test_composition_from_pmf_rejects_bad_input():
         composition_from_pmf([1.2, -0.2], 4)
     with pytest.raises(ValueError):
         composition_from_pmf([1.0], 0)
+    # NaN fails both the sign and the sum checks instead of reaching the rounding.
+    for pmf in ([math.nan, 0.5], [math.nan, 1.0], [math.nan] * 2, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="pmf"):
+            composition_from_pmf(pmf, 10)
 
 
 def test_multiset_count_small():
-    assert multiset_count(Composition((2, 2))) == 6
-    assert multiset_count(Composition((5, 0, 0, 0))) == 1
-    assert multiset_count(Composition((1, 1, 1))) == 6
+    assert Composition((2, 2)).size == 6
+    assert Composition((5, 0, 0, 0)).size == 1
+    assert Composition((1, 1, 1)).size == 6
 
 
 def test_multiset_count_full_word_capacity():
     # Independent route: the factorial form of the multinomial coefficient.
-    count = multiset_count(Composition(FULL_COUNTS))
+    count = Composition(FULL_COUNTS).size
     by_factorials = math.factorial(320)
     for c in FULL_COUNTS:
         by_factorials //= math.factorial(c)
@@ -103,13 +106,13 @@ def test_rank_inverts_unrank():
     for i in range(6):
         assert rank(unrank(comp, i)) == i
     assert rank((0, 0, 1, 1)) == 0
-    assert rank((1, 1, 0, 0)) == multiset_count(comp) - 1
+    assert rank((1, 1, 0, 0)) == comp.size - 1
 
 
 def test_rank_infers_trailing_classes():
     # a sequence that never uses class 3 still ranks consistently
     comp = Composition((2, 1, 1))
-    for i in range(multiset_count(comp)):
+    for i in range(comp.size):
         assert rank(unrank(comp, i)) == i
 
 
@@ -207,7 +210,7 @@ def test_sequence_word_packing():
 )
 def test_rank_unrank_roundtrip_property(counts, data):
     comp = Composition(tuple(counts))
-    total = multiset_count(comp)
+    total = comp.size
     index = data.draw(st.integers(min_value=0, max_value=total - 1))
     seq = unrank(comp, index)
     assert len(seq) == comp.n
@@ -217,7 +220,7 @@ def test_rank_unrank_roundtrip_property(counts, data):
 
 def test_unrank_is_lexicographically_increasing():
     comp = Composition((2, 1, 1))
-    seqs = [unrank(comp, i) for i in range(multiset_count(comp))]
+    seqs = [unrank(comp, i) for i in range(comp.size)]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
 
@@ -271,7 +274,7 @@ def test_rank_unrank_match_reference_beyond_small_blocks(n, data):
     cuts = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n), max_size=5)))
     counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))  # 1-6 classes summing to n
     comp = Composition(counts)
-    index = data.draw(st.integers(min_value=0, max_value=multiset_count(comp) - 1))
+    index = data.draw(st.integers(min_value=0, max_value=comp.size - 1))
     seq = unrank(comp, index)
     assert seq == _reference_unrank(counts, index)
     assert rank(seq) == _reference_rank(seq) == index

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from dmkit import BitWord, read_bitfile, write_bitfile
+from dmkit import CLASS_ENERGIES, BitWord, read_bitfile, write_bitfile
 from dmkit.cli import main
+from dmkit.synthesis import LUTFILE_MAGIC
 from conftest import TREE3_ROWS
 
 
@@ -143,3 +145,82 @@ def test_other_modulation_is_a_clean_error(tmp_path, capsys):
 def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of each command's stdout on the bundled config, and of the .lut
+# file that synthesize writes for it. The report digest equals
+# bench/golden.json's report_text.
+PINNED_STDOUT = {
+    ("report",): "4c5e4cd4c0b180a1d8197e936d2c48f84d93c7735053e1ff701aeea31c43e94c",
+    ("report", "--format", "csv"): "59305e360f7f29809e69e1009e8fba28f9bc8cea85d58099639641705ccd671a",
+    ("stats",): "a385497eb25ebc19d16a91a106076be8bcfabb6d6531716d6b5b16e9780613ea",
+    ("stats", "--format", "csv"): "fb3f8acdcc33df86fdc2a15d853854215a899da5f19348f7df16bc6f6e60b1f7",
+    ("selftest",): "8277bacab98da436875b84aa84b9fec8059d2d84547b5dbf425dc6e81dc79747",
+}
+PINNED_LUT = "812adac491f5fb06a98abc4e588d625b33c2ca8091d0ba34a7ba570aaca5b40c"
+
+
+def test_pinned_outputs(tmp_path, capsys):
+    for argv, digest in PINNED_STDOUT.items():
+        assert main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
+    lut = tmp_path / "bundled.lut"
+    assert main(["synthesize", "--out", str(lut)]) == 0
+    assert hashlib.sha256(lut.read_bytes()).hexdigest() == PINNED_LUT
+
+
+# Inputs that once ended in a traceback: JSON nested past the parser's
+# recursion limit, and a 20-bit leaf, a whole number of QAM symbols above
+# the 16-bit bound. Without the bound, synthesizing or loading that leaf
+# scores 2^20 candidates (about 117 MB), so a regression fails here
+# without exhausting memory.
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+WIDE_LEAF = [{"l": 1, "T": 1, "s": 1, "v": 1, "u": 20}]
+WIDE_CONFIG = json.dumps({"m": 8, "m_sb": 4, "layers": WIDE_LEAF, "ccdm": {"composition": [1, 1, 1, 1], "k": 4}})
+
+
+def _wide_lut_header():
+    doc = {"m": 8, "m_sb": 4, "layers": WIDE_LEAF}
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    header = dict(doc, format=1, class_energy=list(CLASS_ENERGIES))
+    header["spec_sha256"] = hashlib.sha256(canon.encode()).hexdigest()[:32]
+    return json.dumps(header)
+
+
+@pytest.mark.parametrize("command", ["synthesize", "stats", "report", "selftest"])
+@pytest.mark.parametrize(
+    "text, error",
+    [(NESTED_JSON, "TreeConfigError"), (WIDE_CONFIG, "WidthViolation")],
+    ids=["nested", "too-wide"],
+)
+def test_config_beyond_limits_is_a_clean_error(tmp_path, capsys, command, text, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "w.lut")] if command == "synthesize" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "header, blobs, error",
+    [
+        (NESTED_JSON, [], "LutFormatError"),
+        # The two cheapest 20-bit words, 0 and 1, packed little-endian.
+        (_wide_lut_header(), [(1 << 20).to_bytes(5, "little")], "WidthViolation"),
+    ],
+    ids=["nested", "too-wide"],
+)
+def test_lut_header_beyond_limits_is_a_clean_error(tmp_path, capsys, header, blobs, error):
+    lut = tmp_path / "bad.lut"
+    with open(lut, "wb") as f:
+        f.write(LUTFILE_MAGIC)
+        for data in [header.encode(), *blobs]:
+            f.write(len(data).to_bytes(4, "little") + data)
+    src = tmp_path / "in.bits"
+    write_bitfile(src, BitWord(0, 1))
+    assert main(["encode", str(lut), str(src), "--out", str(tmp_path / "out.bits")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1

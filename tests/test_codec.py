@@ -115,10 +115,10 @@ def test_decode_rejects_bad_word_above_leaves(full_lutset):
     r1 = spec.leaf.parent_bits
     s1 = spec.leaf.info_bits
     bad = next(
-        w for w in range(1 << spec.layer(2).out_bits) if mirror2[w] == -1
+        w for w in range(1 << spec.layers[-2].out_bits) if mirror2[w] == -1
     )
     r_left, r_right = bad >> r1, bad & ((1 << r1) - 1)
-    leaf = full_lutset.lut_for_layer(1)
+    leaf = full_lutset.luts[-1]
     chunks = [leaf.entries[r_left << s1], leaf.entries[r_right << s1]]
     chunks += [leaf.entries[0]] * (spec.leaf.lut_count - 2)
     shaped = pack_symbols(chunks, spec.leaf.out_bits)

@@ -133,24 +133,28 @@ def test_mb_column_statistics():
 
 
 def test_class_pmf_expands_to_equal_pair_members():
-    report = stats_from_pmf([0.4, 0.3, 0.2, 0.1], beta=7.0)
+    report = stats_from_pmf([0.4, 0.3, 0.2, 0.1])
     assert report.p_abs == (0.2, 0.2, 0.15, 0.15, 0.1, 0.1, 0.05, 0.05)
 
 
 def test_amplitude_pmf_taken_as_is():
     p_abs = (0.2628, 0.2355, 0.1891, 0.1360, 0.0877, 0.0506, 0.0262, 0.0121)
-    report = stats_from_pmf(p_abs, beta=7.169)
+    report = stats_from_pmf(p_abs)
     assert report.p_abs == p_abs
     assert abs(report.two_h - 2 * (entropy_bits(p_abs) + 1)) <= 1e-15
 
 
 def test_stats_input_validation():
     with pytest.raises(ValueError):
-        stats_from_pmf([0.5, 0.6], beta=7.0)  # wrong length and bad sum
+        stats_from_pmf([0.5, 0.6])  # wrong length and bad sum
     with pytest.raises(ValueError):
-        stats_from_pmf([0.5, 0.5, 0.25, -0.25], beta=7.0)
+        stats_from_pmf([0.5, 0.5, 0.25, -0.25])
     with pytest.raises(ValueError):
-        stats_from_pmf([0.2] * 5, beta=7.0)  # 5 entries fit neither shape
+        stats_from_pmf([0.2] * 5)  # 5 entries fit neither shape
+    # NaN entries fail the pmf check instead of reaching the statistics.
+    for pmf in ([math.nan] * 4, [math.nan, 0.5, 0.25, 0.25], [0.5, 0.5, 0.0, math.nan], [math.nan] * 8):
+        with pytest.raises(ValueError, match="pmf"):
+            stats_from_pmf(pmf)
     with pytest.raises(ValueError):
         stats_from_pmf([0.25] * 4, n_info=100)  # n_pam missing
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmkit import (
+    CLASS_BITS,
     CLASS_ENERGIES,
     BitWord,
     LayerParams,
@@ -65,7 +66,7 @@ def test_leaf_one_symbol():
 
 
 def test_leaf_seven_layer_table(full_lutset):
-    leaf = full_lutset.lut_for_layer(1)
+    leaf = full_lutset.luts[-1]
     assert len(leaf.entries) == 512
     assert leaf.entries[0] == 0
     assert leaf.entry_energy[0] == 25.0  # five cheapest-class symbols
@@ -97,7 +98,7 @@ def test_parent_keep_all():
 
 
 def test_parent_layer2_of_full_tree(full_lutset):
-    lut = full_lutset.lut_for_layer(2)
+    lut = full_lutset.luts[-2]
     assert len(lut.entries) == 2048
     assert lut.entries[0] == 0
 
@@ -119,8 +120,8 @@ def test_tree_matches_selection_oracle(rows):
     bands = oracle_bands(scored, spec.leaf.parent_bits, spec.leaf.info_bits)
     assert scored_entries(lutset, 1) == (scored, bands)
     for layer_index in range(2, spec.depth + 1):
-        layer = spec.layer(layer_index)
-        child = spec.layer(layer_index - 1)
+        layer = spec.layers[spec.depth - layer_index]
+        child = spec.layers[spec.depth - layer_index + 1]
         scored = oracle_parent(layer.in_bits, layer.out_bits, child.parent_bits, bands)
         bands = oracle_bands(scored, layer.parent_bits, layer.info_bits)
         assert scored_entries(lutset, layer_index) == (scored, bands)
@@ -128,7 +129,7 @@ def test_tree_matches_selection_oracle(rows):
 
 def scored_entries(lutset, layer_index):
     # Scores and band means must equal the oracle's to the last bit.
-    lut = lutset.lut_for_layer(layer_index)
+    lut = lutset.luts[lutset.spec.depth - layer_index]
     return list(zip(lut.entry_energy, lut.entries)), list(lut.band_energy)
 
 
@@ -166,7 +167,7 @@ def test_mirror_maps(full_lutset):
 
 def test_field_columns(full_lutset):
     spec = full_lutset.spec
-    widths = [child.parent_bits for child in spec.layers[1:]] + [spec.class_bits]
+    widths = [child.parent_bits for child in spec.layers[1:]] + [CLASS_BITS]
     for lut, columns, width in zip(full_lutset.luts, full_lutset.fields, widths):
         assert len(columns) == lut.out_bits // width
         for e, w in enumerate(lut.entries):

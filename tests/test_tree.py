@@ -10,6 +10,7 @@ from dmkit import (
     WidthViolation,
     lut_size_report,
     spec_fingerprint,
+    spec_to_mappings,
     validate_tree,
 )
 from conftest import SEVEN_LAYER_ROWS, SINGLE_ROWS
@@ -34,11 +35,10 @@ def test_single_layer_totals():
 
 def test_layer_accessors():
     spec = validate_tree(SEVEN_LAYER_ROWS, 8, 4)
-    assert spec.layer(7) is spec.top
-    assert spec.layer(1) is spec.leaf
-    assert spec.layer(3).lut_count == 16
-    with pytest.raises(IndexError):
-        spec.layer(8)
+    assert [layer.layer_index for layer in spec.layers] == [7, 6, 5, 4, 3, 2, 1]
+    assert spec.layers[0] is spec.top
+    assert spec.layers[-1] is spec.leaf
+    assert spec.layers[spec.depth - 3].lut_count == 16
 
 
 def test_input_order_does_not_matter():
@@ -85,6 +85,12 @@ def test_width_violations():
     with pytest.raises(WidthViolation):
         validate_tree([{"l": 1, "T": 1, "s": 3, "v": 2, "u": 4}], 8, 4)
 
+    # Tables are at most 16 bits wide; only validation runs on the wider rows.
+    assert validate_tree([{"l": 1, "T": 1, "s": 1, "v": 1, "u": 16}], 8, 4).n_out == 16
+    for u in (17, 18, 40):
+        with pytest.raises(WidthViolation, match="widest"):
+            validate_tree([{"l": 1, "T": 1, "s": 1, "v": 1, "u": u}], 8, 4)
+
 
 def test_granularity_violations():
     # Leaf output must split into whole class symbols.
@@ -124,7 +130,7 @@ def test_malformed_tables():
 
 def test_idempotent_revalidation():
     spec = validate_tree(SEVEN_LAYER_ROWS, 8, 4)
-    again = validate_tree(spec.layers, spec.bits_per_qam, spec.shaped_bits_per_qam)
+    again = validate_tree(spec_to_mappings(spec), 8, 4)
     assert again == spec
     assert spec_fingerprint(again) == spec_fingerprint(spec)
 
