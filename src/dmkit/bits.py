@@ -30,7 +30,7 @@ class BitWord:
     def __post_init__(self) -> None:
         if self.width < 0:
             raise ValueError(f"negative width {self.width}")
-        if not 0 <= self.value < (1 << self.width):
+        if self.value < 0 or self.value >> self.width:  # never builds 2^width, as large as the word
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
     def __len__(self) -> int:
@@ -38,7 +38,8 @@ class BitWord:
 
     def to_bytes(self) -> bytes:
         n = (self.width + 7) // 8
-        return (self.value << (8 * n - self.width)).to_bytes(n, "big")
+        pad = 8 * n - self.width
+        return (self.value << pad if pad else self.value).to_bytes(n, "big")  # a shift by 0 copies the word
 
     @classmethod
     def from_bytes(cls, data: bytes, width: int) -> "BitWord":
@@ -48,7 +49,7 @@ class BitWord:
         raw = int.from_bytes(data, "big")
         if raw & ((1 << pad) - 1):
             raise ValueError("nonzero padding bits")
-        return cls(raw >> pad, width)
+        return cls(raw >> pad if pad else raw, width)
 
     def hex(self) -> str:
         return self.to_bytes().hex()

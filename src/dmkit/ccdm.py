@@ -5,7 +5,8 @@ Every output word is a permutation of one fixed multiset of class symbols
 sorts first) and the k-bit input, read MSB-first as an integer, selects a
 word by that number; dematching recovers the number by ranking. All
 arithmetic is exact arbitrary-precision integer arithmetic, so matching
-and dematching are exact inverses at any block length.
+and dematching are exact inverses at every block length up to
+MAX_BLOCK_SYMBOLS.
 
 The number of sequences below a given first symbol follows from the
 multinomial recursion count(n; c0..) * c_i / n = count with c_i reduced,
@@ -26,6 +27,10 @@ from math import comb, floor
 from typing import Sequence
 
 from .bits import BitWord
+
+
+# Longest block: the exact codebook size at 65,536 symbols takes about 0.1 s.
+MAX_BLOCK_SYMBOLS = 1 << 16
 
 
 class CompositionMismatch(ValueError):
@@ -59,6 +64,8 @@ class Composition:
                 raise ValueError(f"counts must be non-negative integers, got {self.counts}")
         if self.n < 1:
             raise ValueError("composition is empty")
+        if self.n > MAX_BLOCK_SYMBOLS:
+            raise ValueError(f"composition of {self.n} symbols exceeds the longest supported block, {MAX_BLOCK_SYMBOLS}")
 
     @property
     def n(self) -> int:

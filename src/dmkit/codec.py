@@ -11,6 +11,16 @@ for every word. A shaped word that is not a codec output fails with
 InvalidWord at the first layer where a chunk or reassembled word has no
 table entry; no correction is attempted.
 
+One kernel pair serves single words and streams. It takes a list of words
+through the tree one layer at a time, as the LUTs of a layer work side by
+side: every list is flat and word-major, so LUT q of word k sits at
+k*T + q. encode/decode are its one-word case. encode_stream/decode_stream
+cut the stream into chunks of about CHUNK_LOOKUPS table lookups, a
+multiple of 8 words so that chunks are whole bytes, and join the chunk
+outputs as bytes; the whole stream is still held in memory. A decode chunk
+with a table miss is re-run word by word, so a stream raises the
+InvalidWord of its first invalid word.
+
 Both directions are pure functions of an immutable LutSet and may be used
 concurrently. Words in a stream are independent (the codec is stateless).
 """
@@ -18,13 +28,18 @@ concurrently. Words in a stream are independent (the codec is stateless).
 from __future__ import annotations
 
 import os
-from typing import Iterable, TextIO
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence, TextIO
 
-from .bits import BitWord, pack_symbols, unpack_symbols
+from .bits import BitWord, unpack_symbols
 from .synthesis import LutSet
 from .tree import TreeSpec
 
 VECTOR_FILE_TAG = "dmkit-vectors"
+
+# Stream chunks hold about this many table lookups: 128 words of 127 LUTs on
+# the bundled tree.
+CHUNK_LOOKUPS = 1 << 14
 
 
 class InvalidWord(ValueError):
@@ -40,6 +55,91 @@ class InvalidWord(ValueError):
         self.lut_index = lut_index
 
 
+def _info_fields(spec: TreeSpec, values: Sequence[int]) -> list[list[int]]:
+    """split_info of many words: per layer, top first, entry k*T + q is the field of LUT q of word k."""
+    out = []
+    rest = spec.n_info
+    for layer in spec.layers:
+        s, count = layer.info_bits, layer.lut_count
+        rest -= count * s
+        run_mask = (1 << (count * s)) - 1
+        mask = (1 << s) - 1
+        shifts = range(s * (count - 1), -1, -s) if s else [0] * count
+        runs = [(v >> rest) & run_mask for v in values]  # this layer's T*s bits of each word
+        out.append([(run >> shift) & mask for run in runs for shift in shifts])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bits(width: int) -> tuple[str, ...]:
+    """The width-digit binary string of every width-bit value, indexed by value.
+
+    The kernels join such strings and parse them once with int(text, 2),
+    which is cheaper than shifting each field into a growing integer.
+    """
+    return tuple(format(x, f"0{width}b") for x in range(1 << width))
+
+
+def _encode_words(lutset: LutSet, values: Sequence[int]) -> int:
+    """The shaped words of information words, concatenated, one layer at a time."""
+    spec = lutset.spec
+    *upper, (leaf, leaf_info) = zip(spec.layers, _info_fields(spec, values))
+    parent_r = [0] * len(values)  # r-value received by each LUT of the current layer; top gets none
+    for (layer, info), fields in zip(upper, lutset.fields):
+        s = layer.info_bits
+        parent_r = [f[i] for i in [(p << s) | x for p, x in zip(parent_r, info)] for f in fields]
+    s = leaf.info_bits
+    entries = lutset.luts[-1].entries
+    text = _bits(leaf.out_bits)
+    return int("".join([text[entries[(p << s) | x]] for p, x in zip(parent_r, leaf_info)]), 2)
+
+
+def _decode_words(lutset: LutSet, chunks: Sequence[int]) -> int:
+    """The information words of shaped words, concatenated.
+
+    chunks are the words' leaf outputs, word-major. The mirror tables run
+    upward one layer at a time. Raises InvalidWord at the first layer with
+    a table miss, naming the LUT of the first miss within its word.
+    """
+    spec = lutset.spec
+    runs = []  # per layer with information bits, bottom-up: (fields of every word as text, bits per word)
+    words = chunks
+    for layer, mirror in zip(reversed(spec.layers), reversed(lutset.mirror)):
+        idx = [mirror[w] for w in words]
+        if -1 in idx:
+            raise InvalidWord(layer.layer_index, idx.index(-1) % layer.lut_count)
+        # Index = r (high) || s (low).
+        s = layer.info_bits
+        if s:
+            mask = (1 << s) - 1
+            text = _bits(s)
+            runs.append(("".join([text[i & mask] for i in idx]), layer.lut_count * s))
+        if layer.fanin:
+            # t sibling r-values form the parent's word.
+            r, t = layer.parent_bits, layer.fanin
+            words = [i >> s for i in idx[::t]]
+            for j in range(1, t):
+                words = [(w << r) | (i >> s) for w, i in zip(words, idx[j::t])]
+    runs.reverse()
+    n_words = len(chunks) // spec.leaf.lut_count
+    return int("".join([run[k * width : (k + 1) * width] for k in range(n_words) for run, width in runs]), 2)
+
+
+def _decode_chunk(lutset: LutSet, chunks: Sequence[int]) -> int:
+    """_decode_words, except that a miss is raised for the first invalid word.
+
+    A miss found layer by layer may belong to a later word than one that
+    fails higher up, so a chunk with a miss is re-run word by word.
+    """
+    try:
+        return _decode_words(lutset, chunks)
+    except InvalidWord:
+        count = lutset.spec.leaf.lut_count
+        for j in range(0, len(chunks), count):
+            _decode_words(lutset, chunks[j : j + count])
+        raise
+
+
 def split_info(spec: TreeSpec, word: BitWord) -> tuple[tuple[int, ...], ...]:
     """Per-LUT information fields, aligned with spec.layers.
 
@@ -49,28 +149,15 @@ def split_info(spec: TreeSpec, word: BitWord) -> tuple[tuple[int, ...], ...]:
     """
     if word.width != spec.n_info:
         raise ValueError(f"expected {spec.n_info} information bits, got {word.width}")
-    fields = []
-    rest = word.width
-    for layer in spec.layers:
-        s = layer.info_bits
-        rest -= layer.lut_count * s
-        run = word.value >> rest  # this layer's T*s bits are the lowest of run
-        mask = (1 << s) - 1
-        fields.append(tuple([(run >> (s * q)) & mask for q in range(layer.lut_count - 1, -1, -1)]))
-    return tuple(fields)
+    return tuple(tuple(fields) for fields in _info_fields(spec, [word.value]))
 
 
 def encode(lutset: LutSet, word: BitWord) -> BitWord:
     """Map an information word to its shaped word."""
     spec = lutset.spec
-    *upper, (leaf, leaf_info) = zip(spec.layers, split_info(spec, word))
-    parent_r = [0]  # r-value received by each LUT of the current layer; top gets none
-    for (layer, info), fields in zip(upper, lutset.fields):
-        s = layer.info_bits
-        parent_r = [f[(p << s) | x] for p, x in zip(parent_r, info) for f in fields]
-    s = leaf.info_bits
-    entries = lutset.luts[-1].entries
-    return pack_symbols([entries[(p << s) | x] for p, x in zip(parent_r, leaf_info)], leaf.out_bits)
+    if word.width != spec.n_info:
+        raise ValueError(f"expected {spec.n_info} information bits, got {word.width}")
+    return BitWord(_encode_words(lutset, [word.value]), spec.n_out)
 
 
 def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
@@ -82,28 +169,31 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     spec = lutset.spec
     if shaped.width != spec.n_out:
         raise ValueError(f"expected {spec.n_out} shaped bits, got {shaped.width}")
-    words = unpack_symbols(shaped, spec.leaf.out_bits)
-    indices = []  # per layer, bottom-up, the table index of every LUT
-    for pos in range(spec.depth - 1, -1, -1):
-        layer = spec.layers[pos]
-        mirror = lutset.mirror[pos]
-        idx = [mirror[w] for w in words]
-        if -1 in idx:
-            raise InvalidWord(layer.layer_index, idx.index(-1))
-        indices.append(idx)
-        if pos:
-            # Index = r (high) || s (low); t sibling r-values form the parent's word.
-            s, r, t = layer.info_bits, layer.parent_bits, layer.fanin
-            words = [i >> s for i in idx[::t]]
-            for j in range(1, t):
-                words = [(w << r) | (i >> s) for w, i in zip(words, idx[j::t])]
-    value = 0
-    for layer, idx in zip(spec.layers, reversed(indices)):
-        s = layer.info_bits
-        mask = (1 << s) - 1
-        for i in idx:
-            value = (value << s) | (i & mask)
-    return BitWord(value, spec.n_info)
+    return BitWord(_decode_words(lutset, unpack_symbols(shaped, spec.leaf.out_bits)), spec.n_info)
+
+
+def _chunk_words(spec: TreeSpec) -> int:
+    """Words per stream chunk: about CHUNK_LOOKUPS table lookups, a multiple of 8 words."""
+    return max(8, CHUNK_LOOKUPS // sum(layer.lut_count for layer in spec.layers) // 8 * 8)
+
+
+def _run_stream(spec: TreeSpec, bits: BitWord, n_in: int, n_out: int, step: Callable[[BitWord], int]) -> BitWord:
+    """Map a stream of n_in-bit words to n_out-bit words, a chunk of words at a time.
+
+    step takes the chunk's words as one BitWord and returns their outputs,
+    concatenated. Chunks are a multiple of 8 words, so every chunk but the
+    last is whole bytes on both sides, and the outputs are joined as bytes.
+    """
+    chunk = _chunk_words(spec)
+    data = bits.to_bytes()
+    n_words = bits.width // n_in
+    out = []
+    for first in range(0, n_words, chunk):
+        count = min(chunk, n_words - first)
+        start, stop = first * n_in // 8, -(-(first + count) * n_in // 8)
+        piece = int.from_bytes(data[start:stop], "big") >> (8 * (stop - start) - count * n_in)
+        out.append(BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes())
+    return BitWord.from_bytes(b"".join(out), n_words * n_out)
 
 
 def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
@@ -112,23 +202,31 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
     The stream length must be a multiple of n_info unless pad is set, in
     which case the final partial word is zero-padded at its end.
     """
-    n_info = lutset.spec.n_info
+    spec = lutset.spec
+    n_info = spec.n_info
     fill = -bits.width % n_info
     if fill:
         if not pad:
             raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
         bits = BitWord(bits.value << fill, bits.width + fill)
-    words = unpack_symbols(bits, n_info)
-    return pack_symbols((encode(lutset, BitWord(w, n_info)).value for w in words), lutset.spec.n_out)
+    return _run_stream(
+        spec, bits, n_info, spec.n_out, lambda chunk: _encode_words(lutset, unpack_symbols(chunk, n_info))
+    )
 
 
 def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
-    """Decode a concatenation of shaped words (length must divide exactly)."""
-    n_out = lutset.spec.n_out
+    """Decode a concatenation of shaped words (length must divide exactly).
+
+    Raises the InvalidWord of the first invalid word in the stream.
+    """
+    spec = lutset.spec
+    n_out = spec.n_out
     if bits.width % n_out:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
-    words = unpack_symbols(bits, n_out)
-    return pack_symbols((decode(lutset, BitWord(w, n_out)).value for w in words), lutset.spec.n_info)
+    leaf_bits = spec.leaf.out_bits
+    return _run_stream(
+        spec, bits, n_out, spec.n_info, lambda chunk: _decode_chunk(lutset, unpack_symbols(chunk, leaf_bits))
+    )
 
 
 def dump_test_vectors(

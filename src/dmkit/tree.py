@@ -14,7 +14,8 @@ bits out, PAM symbols out). The modulation is fixed (see mapping): m and
 m_sb must be BITS_PER_QAM and SHAPED_BITS_PER_QAM; they stay in the
 config, the LUT-file header and the spec fingerprint. A LUT is at most
 MAX_OUT_BITS wide, which bounds every table and candidate set at 2^16
-entries.
+entries, and a shaped word is at most MAX_WORD_BITS long, which bounds
+the LUT count of every layer.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Iterable, Mapping
 from .mapping import BITS_PER_QAM, CLASS_BITS, SHAPED_BITS_PER_QAM
 
 MAX_OUT_BITS = 16
+MAX_WORD_BITS = 1 << 16
 
 
 class TreeConfigError(ValueError):
@@ -38,7 +40,7 @@ class CouplingViolation(TreeConfigError):
 
 
 class CountViolation(TreeConfigError):
-    """LUT counts are inconsistent with the fanin chain."""
+    """LUT counts are inconsistent with the fanin chain, or the word is longer than MAX_WORD_BITS."""
 
 
 class WidthViolation(TreeConfigError):
@@ -209,6 +211,8 @@ def validate_tree(
             f"leaf output width {leaf['out_bits']} is not a multiple of {CLASS_BITS} bits per PAM symbol"
         )
     n_out = leaf["lut_count"] * leaf["out_bits"]
+    if n_out > MAX_WORD_BITS:
+        raise CountViolation(f"output length {n_out} bits exceeds the longest supported word, {MAX_WORD_BITS} bits")
     if n_out % SHAPED_BITS_PER_QAM:
         raise GranularityViolation(f"output length {n_out} is not a multiple of m_sb={SHAPED_BITS_PER_QAM}")
     n_info = sum(r["lut_count"] * r["info_bits"] for r in rows)

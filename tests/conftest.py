@@ -18,6 +18,12 @@ SEVEN_LAYER_ROWS = [
 # `dmkit selftest` checks.
 (_, TREE2_ROWS), (_, TREE3_ROWS) = SELFTEST_TREES
 
+# Fanin 1 and s = 0 below the top: the lower layer only relays bands.
+CHAIN_ROWS = [
+    {"l": 2, "T": 1, "s": 4, "v": 4, "u": 4},
+    {"l": 1, "t": 1, "r": 4, "s": 0, "v": 4, "u": 4},
+]
+
 # One-LUT trees: a shaping one (v < u) and a keep-everything one (v = u).
 SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]
 KEEPALL_ROWS = [{"l": 1, "T": 1, "s": 4, "v": 4, "u": 4}]
@@ -46,3 +52,8 @@ def tree3_lutset():
 @pytest.fixture(scope="session")
 def keepall_lutset():
     return synthesize_tree(validate_tree(KEEPALL_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def chain_lutset():
+    return synthesize_tree(validate_tree(CHAIN_ROWS, 8, 4))

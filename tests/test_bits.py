@@ -16,6 +16,9 @@ def test_bounds():
         BitWord(1, 0)
     with pytest.raises(ValueError):
         BitWord(0, -1)
+    BitWord((1 << 640) - 1, 640)
+    with pytest.raises(ValueError):
+        BitWord(1 << 640, 640)
 
 
 def test_bits_roundtrip():

@@ -19,6 +19,7 @@ from dmkit import (
     unpack_symbols,
     unrank,
 )
+from dmkit.ccdm import MAX_BLOCK_SYMBOLS
 
 FULL_COUNTS = (157, 104, 46, 13)
 
@@ -32,6 +33,13 @@ def test_composition_basics():
         Composition((0, 0))
     with pytest.raises(ValueError):
         Composition((1, -1))
+
+
+def test_composition_block_length_bound():
+    assert Composition((MAX_BLOCK_SYMBOLS - 1, 1)).n == MAX_BLOCK_SYMBOLS == 1 << 16
+    for counts in [(MAX_BLOCK_SYMBOLS, 1), (100_000_000, 100_000_000)]:
+        with pytest.raises(ValueError, match="longest supported block"):
+            Composition(counts)
 
 
 def test_composition_from_pmf_tie_goes_low():

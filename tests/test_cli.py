@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -132,6 +133,20 @@ def test_huge_ccdm_k_is_a_clean_error(tmp_path, capsys):
     assert "capacity" in captured.err
 
 
+def test_huge_ccdm_block_is_a_clean_error(tmp_path, capsys):
+    # The exact codebook size of 2 * 10^8 symbols once kept this busy past a minute.
+    cfg = tmp_path / "huge_block.json"
+    ccdm = {"composition": [100_000_000, 100_000_000], "k": 4}
+    cfg.write_text(json.dumps({"m": 8, "m_sb": 4, "layers": TREE3_ROWS, "ccdm": ccdm}))
+    start = time.perf_counter()
+    assert main(["stats", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: TreeConfigError") and captured.err.count("\n") == 1
+    assert "longest supported block" in captured.err
+
+
 def test_other_modulation_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "qam1024.json"
     cfg.write_text(json.dumps({"m": 10, "m_sb": 4, "layers": TREE3_ROWS}))
@@ -173,14 +188,21 @@ def test_pinned_outputs(tmp_path, capsys):
 # recursion limit, and a 20-bit leaf, a whole number of QAM symbols above
 # the 16-bit bound. Without the bound, synthesizing or loading that leaf
 # scores 2^20 candidates (about 117 MB), so a regression fails here
-# without exhausting memory.
+# without exhausting memory. The 40-layer tree (2^39 leaves, 2^41 shaped
+# bits) synthesized, then ran the codec out of memory.
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 WIDE_LEAF = [{"l": 1, "T": 1, "s": 1, "v": 1, "u": 20}]
-WIDE_CONFIG = json.dumps({"m": 8, "m_sb": 4, "layers": WIDE_LEAF, "ccdm": {"composition": [1, 1, 1, 1], "k": 4}})
+DEEP_ROWS = [{"l": 40, "T": 1, "s": 2, "v": 2, "u": 4}] + [
+    {"l": l, "t": 2, "r": 2, "s": 0, "v": 2, "u": 4} for l in range(39, 0, -1)
+]
 
 
-def _wide_lut_header():
-    doc = {"m": 8, "m_sb": 4, "layers": WIDE_LEAF}
+def _config(layers):
+    return json.dumps({"m": 8, "m_sb": 4, "layers": layers, "ccdm": {"composition": [1, 1, 1, 1], "k": 4}})
+
+
+def _lut_header(layers):
+    doc = {"m": 8, "m_sb": 4, "layers": layers}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     header = dict(doc, format=1, class_energy=list(CLASS_ENERGIES))
     header["spec_sha256"] = hashlib.sha256(canon.encode()).hexdigest()[:32]
@@ -190,8 +212,8 @@ def _wide_lut_header():
 @pytest.mark.parametrize("command", ["synthesize", "stats", "report", "selftest"])
 @pytest.mark.parametrize(
     "text, error",
-    [(NESTED_JSON, "TreeConfigError"), (WIDE_CONFIG, "WidthViolation")],
-    ids=["nested", "too-wide"],
+    [(NESTED_JSON, "TreeConfigError"), (_config(WIDE_LEAF), "WidthViolation"), (_config(DEEP_ROWS), "CountViolation")],
+    ids=["nested", "too-wide", "too-deep"],
 )
 def test_config_beyond_limits_is_a_clean_error(tmp_path, capsys, command, text, error):
     cfg = tmp_path / "cfg.json"
@@ -208,9 +230,11 @@ def test_config_beyond_limits_is_a_clean_error(tmp_path, capsys, command, text, 
     [
         (NESTED_JSON, [], "LutFormatError"),
         # The two cheapest 20-bit words, 0 and 1, packed little-endian.
-        (_wide_lut_header(), [(1 << 20).to_bytes(5, "little")], "WidthViolation"),
+        (_lut_header(WIDE_LEAF), [(1 << 20).to_bytes(5, "little")], "WidthViolation"),
+        # The top LUT's four 2-bit entries; the header is rejected first.
+        (_lut_header(DEEP_ROWS), [bytes([0b11100100])], "CountViolation"),
     ],
-    ids=["nested", "too-wide"],
+    ids=["nested", "too-wide", "too-deep"],
 )
 def test_lut_header_beyond_limits_is_a_clean_error(tmp_path, capsys, header, blobs, error):
     lut = tmp_path / "bad.lut"

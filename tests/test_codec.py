@@ -15,11 +15,15 @@ from dmkit import (
     encode_stream,
     load_test_vectors,
     pack_symbols,
+    save_lutset,
     split_info,
     synthesize_tree,
     unpack_symbols,
     validate_tree,
+    write_bitfile,
 )
+from dmkit.cli import main
+from dmkit.codec import _chunk_words
 from conftest import TREE3_ROWS
 
 
@@ -93,37 +97,41 @@ def test_random_roundtrip_full_tree(full_lutset):
         assert decode(full_lutset, encode(full_lutset, word)) == word
 
 
+def _bad_leaf_chunk(lutset, chunk):
+    """The all-zero word's shaped word with leaf chunk `chunk` replaced by one the leaf never emits."""
+    spec = lutset.spec
+    u1 = spec.leaf.out_bits
+    bad_chunk = next(w for w in range(1 << u1) if lutset.mirror[-1][w] == -1)
+    chunks = list(unpack_symbols(encode(lutset, BitWord(0, spec.n_info)), u1))
+    chunks[chunk] = bad_chunk
+    return pack_symbols(chunks, u1)
+
+
+def _bad_above_leaves(lutset):
+    """Valid leaf chunks whose parent fields reassemble into a word layer 2's LUT 0 never emits."""
+    spec = lutset.spec
+    mirror2 = lutset.mirror[spec.depth - 2]
+    r1 = spec.leaf.parent_bits
+    s1 = spec.leaf.info_bits
+    bad = next(w for w in range(1 << spec.layers[-2].out_bits) if mirror2[w] == -1)
+    r_left, r_right = bad >> r1, bad & ((1 << r1) - 1)
+    leaf = lutset.luts[-1]
+    chunks = [leaf.entries[r_left << s1], leaf.entries[r_right << s1]]
+    chunks += [leaf.entries[0]] * (spec.leaf.lut_count - 2)
+    return pack_symbols(chunks, spec.leaf.out_bits)
+
+
 @pytest.mark.parametrize("chunk", [0, 5, 63])
 def test_decode_rejects_unselected_leaf_chunk(full_lutset, chunk):
-    spec = full_lutset.spec
-    leaf_mirror = full_lutset.mirror[-1]
-    bad_chunk = next(w for w in range(1 << spec.leaf.out_bits) if leaf_mirror[w] == -1)
-    u1 = spec.leaf.out_bits
-    chunks = list(unpack_symbols(encode(full_lutset, BitWord(0, spec.n_info)), u1))
-    chunks[chunk] = bad_chunk
     with pytest.raises(InvalidWord) as exc:
-        decode(full_lutset, pack_symbols(chunks, u1))
+        decode(full_lutset, _bad_leaf_chunk(full_lutset, chunk))
     assert exc.value.layer_index == 1
     assert exc.value.lut_index == chunk
 
 
 def test_decode_rejects_bad_word_above_leaves(full_lutset):
-    # Valid leaf chunks whose parent fields reassemble into a word the
-    # layer-2 table never emits.
-    spec = full_lutset.spec
-    mirror2 = full_lutset.mirror[spec.depth - 2]
-    r1 = spec.leaf.parent_bits
-    s1 = spec.leaf.info_bits
-    bad = next(
-        w for w in range(1 << spec.layers[-2].out_bits) if mirror2[w] == -1
-    )
-    r_left, r_right = bad >> r1, bad & ((1 << r1) - 1)
-    leaf = full_lutset.luts[-1]
-    chunks = [leaf.entries[r_left << s1], leaf.entries[r_right << s1]]
-    chunks += [leaf.entries[0]] * (spec.leaf.lut_count - 2)
-    shaped = pack_symbols(chunks, spec.leaf.out_bits)
     with pytest.raises(InvalidWord) as exc:
-        decode(full_lutset, shaped)
+        decode(full_lutset, _bad_above_leaves(full_lutset))
     assert exc.value.layer_index == 2
     assert exc.value.lut_index == 0
 
@@ -133,20 +141,11 @@ def test_decode_rejects_wrong_width(full_lutset):
         decode(full_lutset, BitWord(0, 639))
 
 
-def test_chain_tree_with_empty_info_fields():
-    # fanin 1 and s = 0 below the top: the lower layer only relays bands
-    spec = validate_tree(
-        [
-            {"l": 2, "T": 1, "s": 4, "v": 4, "u": 4},
-            {"l": 1, "t": 1, "r": 4, "s": 0, "v": 4, "u": 4},
-        ],
-        8,
-        4,
-    )
-    lutset = synthesize_tree(spec)
+def test_chain_tree_with_empty_info_fields(chain_lutset):
+    spec = chain_lutset.spec
     for value in range(1 << spec.n_info):
         word = BitWord(value, spec.n_info)
-        assert decode(lutset, encode(lutset, word)) == word
+        assert decode(chain_lutset, encode(chain_lutset, word)) == word
 
 
 @pytest.mark.parametrize(
@@ -168,6 +167,58 @@ def test_stream_is_stateless(request, lutset_name, n_words, tail_bits):
         words.append(tail << (spec.n_info - tail_bits))
     assert shaped == pack_symbols([encode(lutset, BitWord(w, spec.n_info)).value for w in words], spec.n_out)
     assert decode_stream(lutset, shaped) == pack_symbols(words, spec.n_info)
+
+
+@pytest.mark.parametrize("lutset_name", ["full_lutset", "tree3_lutset", "tree2_lutset", "chain_lutset"])
+def test_stream_matches_per_word_codec(request, lutset_name):
+    # Word counts around one and two stream chunks, with and without a padded tail.
+    lutset = request.getfixturevalue(lutset_name)
+    spec = lutset.spec
+    c = _chunk_words(spec)
+    rng = random.Random(11)
+    for n_words in (0, 1, c - 1, c, c + 1, 2 * c + 3):
+        for tail_bits in (0, spec.n_info - 1):
+            words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
+            tail = rng.getrandbits(tail_bits)
+            stream = pack_symbols(words, spec.n_info)
+            stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
+            shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
+            if tail_bits:
+                words.append(tail << (spec.n_info - tail_bits))
+            per_word = [encode(lutset, BitWord(w, spec.n_info)).value for w in words]
+            assert shaped == pack_symbols(per_word, spec.n_out), (n_words, tail_bits)
+            decoded = [decode(lutset, BitWord(v, spec.n_out)).value for v in per_word]
+            assert decoded == words
+            assert decode_stream(lutset, shaped) == pack_symbols(decoded, spec.n_info), (n_words, tail_bits)
+
+
+def test_stream_raises_first_invalid_word(tmp_path, capsys, full_lutset):
+    # Word j fails at layer 2 and word j + 1 at the leaf, both in the second
+    # chunk: going up layer by layer meets word j + 1's miss first, but the
+    # stream must report word j's.
+    spec = full_lutset.spec
+    c = _chunk_words(spec)
+    j = c + 5
+    rng = random.Random(3)
+    shaped = [encode(full_lutset, BitWord(rng.getrandbits(spec.n_info), spec.n_info)).value for _ in range(2 * c)]
+    shaped[j] = _bad_above_leaves(full_lutset).value
+    shaped[j + 1] = _bad_leaf_chunk(full_lutset, 7).value
+    with pytest.raises(InvalidWord) as exc:
+        decode(full_lutset, BitWord(shaped[j + 1], spec.n_out))
+    assert (exc.value.layer_index, exc.value.lut_index) == (1, 7)
+    stream = pack_symbols(shaped, spec.n_out)
+    with pytest.raises(InvalidWord) as exc:
+        decode_stream(full_lutset, stream)
+    assert (exc.value.layer_index, exc.value.lut_index) == (2, 0)
+
+    lut, src, out = tmp_path / "bundled.lut", tmp_path / "shaped.bits", tmp_path / "decoded.bits"
+    save_lutset(full_lutset, lut)
+    write_bitfile(src, stream)
+    assert main(["decode", str(lut), str(src), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidWord: invalid word at layer 2, lut 0\n"
+    assert not out.exists()
 
 
 def test_stream_empty(tree3_lutset):

@@ -13,6 +13,7 @@ from dmkit import (
     spec_to_mappings,
     validate_tree,
 )
+from dmkit.tree import MAX_WORD_BITS
 from conftest import SEVEN_LAYER_ROWS, SINGLE_ROWS
 
 
@@ -90,6 +91,22 @@ def test_width_violations():
     for u in (17, 18, 40):
         with pytest.raises(WidthViolation, match="widest"):
             validate_tree([{"l": 1, "T": 1, "s": 1, "v": 1, "u": u}], 8, 4)
+
+
+def _chain_rows(depth):
+    # A top LUT with 2 information bits over depth - 1 relay layers of fanin 2
+    # that add none: T_1 = 2^(depth-1) leaves of 4 bits.
+    return [{"l": depth, "T": 1, "s": 2, "v": 2, "u": 4}] + [
+        {"l": l, "t": 2, "r": 2, "s": 0, "v": 2, "u": 4} for l in range(depth - 1, 0, -1)
+    ]
+
+
+def test_word_length_bound():
+    # n_out = 4 * 2^(depth-1): 2^16 bits at depth 15 is the longest word.
+    assert validate_tree(_chain_rows(15), 8, 4).n_out == MAX_WORD_BITS == 1 << 16
+    for depth in (16, 40):  # 2^17 bits; 2^41 bits, which once reached the codec and ran out of memory
+        with pytest.raises(CountViolation, match="longest supported word"):
+            validate_tree(_chain_rows(depth), 8, 4)
 
 
 def test_granularity_violations():
