@@ -182,6 +182,8 @@ def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    if args.words < 1:
+        raise ValueError(f"--words must be at least 1, got {args.words}")
     cfg = _load(args)
     failures = 0
     for name, check in _selftest_checks(cfg, args.seed, args.words):

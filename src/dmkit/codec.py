@@ -21,15 +21,30 @@ outputs as bytes; the whole stream is still held in memory. A decode chunk
 with a table miss is re-run word by word, so a stream raises the
 InvalidWord of its first invalid word.
 
+Words in a stream are independent, so a long stream runs on every usable
+CPU. Its chunks are split into contiguous ranges of at least RANGE_CHUNKS
+chunks, one per CPU in os.sched_getaffinity: this process runs the first
+range and a forked child each other one, sending the range's output bytes
+back through a pipe. A stream runs in this process alone when it has
+fewer than 2 * RANGE_CHUNKS chunks, when only one CPU is usable, where
+os.fork is missing, and while another thread runs (forking then is
+unsafe); a range whose fork fails runs here too. The ranges are joined in
+stream order, and a range whose child fails is re-run here after the
+ranges before it, so outputs and errors are those of the one-process path:
+a stream with invalid words raises the InvalidWord of its first one. No
+child outlives the call. The children's memory is not counted in this
+process's ru_maxrss but in its RUSAGE_CHILDREN.
+
 Both directions are pure functions of an immutable LutSet and may be used
-concurrently. Words in a stream are independent (the codec is stateless).
+concurrently.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence, TextIO
+import threading
+from functools import lru_cache, partial
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .bits import BitWord, unpack_symbols
 from .synthesis import LutSet
@@ -40,6 +55,10 @@ VECTOR_FILE_TAG = "dmkit-vectors"
 # Stream chunks hold about this many table lookups: 128 words of 127 LUTs on
 # the bundled tree.
 CHUNK_LOOKUPS = 1 << 14
+
+# A stream is split across processes only when each gets at least this many
+# chunks, so that a fork pays for itself.
+RANGE_CHUNKS = 4
 
 
 class InvalidWord(ValueError):
@@ -53,6 +72,10 @@ class InvalidWord(ValueError):
         super().__init__(f"invalid word at layer {layer_index}, lut {lut_index}")
         self.layer_index = layer_index
         self.lut_index = lut_index
+
+    def __reduce__(self):
+        # args holds only the message; pickle and copy rebuild from the location.
+        return type(self), (self.layer_index, self.lut_index)
 
 
 def _info_fields(spec: TreeSpec, values: Sequence[int]) -> list[list[int]]:
@@ -177,22 +200,104 @@ def _chunk_words(spec: TreeSpec) -> int:
     return max(8, CHUNK_LOOKUPS // sum(layer.lut_count for layer in spec.layers) // 8 * 8)
 
 
+def _stream_workers(n_chunks: int) -> int:
+    """Processes for a stream of n_chunks chunks: one per usable CPU, each with at least RANGE_CHUNKS chunks.
+
+    1 where os.fork is missing or another thread is running.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_chunks // RANGE_CHUNKS))
+
+
+def _fork_range(run: Callable[[int, int], Iterator[bytes]], first: int, stop: int) -> tuple[int, BinaryIO] | None:
+    """Start a child that writes the bytes of run(first, stop) to a pipe and exits.
+
+    Returns the child's pid and the pipe's read end, or None when no pipe or
+    process could be made. The child exits 0 once every byte is written,
+    and 1 after any exception.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            pieces = list(run(first, stop))  # all of them first: a full pipe blocks until the reader is free
+            with open(write_fd, "wb") as pipe:
+                pipe.writelines(pieces)
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's stack
+    os.close(write_fd)
+    return pid, open(read_fd, "rb", buffering=0)
+
+
 def _run_stream(spec: TreeSpec, bits: BitWord, n_in: int, n_out: int, step: Callable[[BitWord], int]) -> BitWord:
     """Map a stream of n_in-bit words to n_out-bit words, a chunk of words at a time.
 
     step takes the chunk's words as one BitWord and returns their outputs,
     concatenated. Chunks are a multiple of 8 words, so every chunk but the
     last is whole bytes on both sides, and the outputs are joined as bytes.
+    The chunks are cut into _stream_workers contiguous ranges: this process
+    runs the first, a forked child each other one, and a range whose child
+    fails or returns short is re-run here, after the ranges before it.
     """
     chunk = _chunk_words(spec)
     data = bits.to_bytes()
     n_words = bits.width // n_in
-    out = []
-    for first in range(0, n_words, chunk):
-        count = min(chunk, n_words - first)
-        start, stop = first * n_in // 8, -(-(first + count) * n_in // 8)
-        piece = int.from_bytes(data[start:stop], "big") >> (8 * (stop - start) - count * n_in)
-        out.append(BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes())
+
+    def run(first: int, stop: int) -> Iterator[bytes]:
+        """The output bytes of words first..stop-1, one chunk at a time."""
+        for first in range(first, stop, chunk):
+            count = min(chunk, stop - first)
+            start, end = first * n_in // 8, -(-(first + count) * n_in // 8)
+            piece = int.from_bytes(data[start:end], "big") >> (8 * (end - start) - count * n_in)
+            yield BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes()
+
+    n_chunks = -(-n_words // chunk)
+    workers = _stream_workers(n_chunks)
+    bounds = [min(n_words, n_chunks * k // workers * chunk) for k in range(workers + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    children: dict[int, tuple[int, BinaryIO]] = {}  # range number -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            child = _fork_range(run, *ranges[k])
+            if child:
+                children[k] = child
+        out = list(run(*ranges[0]))
+        for k, (first, stop) in enumerate(ranges[1:], start=1):
+            pieces = None
+            if k in children:
+                pid, pipe = children[k]
+                with pipe:
+                    pieces = list(iter(partial(pipe.read, 1 << 16), b""))
+                del children[k]
+                # Only the last range can end in a partial byte.
+                if os.waitpid(pid, 0)[1] or sum(map(len, pieces)) != -(-(stop - first) * n_out // 8):
+                    pieces = None
+            out.extend(run(first, stop) if pieces is None else pieces)
+    finally:
+        # On an early exit, a child may still be computing, or blocked writing
+        # to a full pipe whose read end a later child also holds, so closing
+        # the pipe would not stop it. signal is imported only here: at module
+        # level it adds 0.13 MB to every process's ru_maxrss.
+        if children:
+            import signal
+        for pid, pipe in children.values():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    del data  # the join below is the call's memory peak; the input's bytes are no longer needed
     return BitWord.from_bytes(b"".join(out), n_words * n_out)
 
 

@@ -114,6 +114,14 @@ def test_truncated_bit_count_is_a_clean_error(tmp_path, tree3_lutfile, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("words", [0, -3])
+def test_selftest_rejects_nonpositive_words(capsys, words):
+    assert main(["selftest", "--words", str(words)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: --words must be at least 1, got {words}\n"
+
+
 def test_bad_config_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"m": 8, "m_sb": 4, "layers": TREE3_ROWS, "extra": 1}))

@@ -1,5 +1,9 @@
+import copy
 import io
+import os
+import pickle
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from dmkit import (
     validate_tree,
     write_bitfile,
 )
+from dmkit import codec
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
 from conftest import TREE3_ROWS
@@ -169,9 +174,34 @@ def test_stream_is_stateless(request, lutset_name, n_words, tail_bits):
     assert decode_stream(lutset, shaped) == pack_symbols(words, spec.n_info)
 
 
+@pytest.fixture()
+def deadline():
+    """Fail a test that runs past 60 s, instead of hanging on a child process."""
+
+    def expire(signum, frame):
+        raise TimeoutError("stream test ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(codec, "_stream_workers", lambda n_chunks: workers)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("lutset_name", ["full_lutset", "tree3_lutset", "tree2_lutset", "chain_lutset"])
-def test_stream_matches_per_word_codec(request, lutset_name):
-    # Word counts around one and two stream chunks, with and without a padded tail.
+def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_name):
+    # Word counts around one and two stream chunks, with and without a padded
+    # tail, in one, two and three processes: at 2c + 3 words, three ranges of
+    # one chunk each, the last one ragged.
     lutset = request.getfixturevalue(lutset_name)
     spec = lutset.spec
     c = _chunk_words(spec)
@@ -182,14 +212,51 @@ def test_stream_matches_per_word_codec(request, lutset_name):
             tail = rng.getrandbits(tail_bits)
             stream = pack_symbols(words, spec.n_info)
             stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
-            shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
-            if tail_bits:
-                words.append(tail << (spec.n_info - tail_bits))
-            per_word = [encode(lutset, BitWord(w, spec.n_info)).value for w in words]
-            assert shaped == pack_symbols(per_word, spec.n_out), (n_words, tail_bits)
+            padded = words + [tail << (spec.n_info - tail_bits)] if tail_bits else words
+            per_word = [encode(lutset, BitWord(w, spec.n_info)).value for w in padded]
             decoded = [decode(lutset, BitWord(v, spec.n_out)).value for v in per_word]
-            assert decoded == words
-            assert decode_stream(lutset, shaped) == pack_symbols(decoded, spec.n_info), (n_words, tail_bits)
+            assert decoded == padded
+            for workers in (1, 2, 3):
+                _force_workers(monkeypatch, workers)
+                shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
+                case = (n_words, tail_bits, workers)
+                assert shaped == pack_symbols(per_word, spec.n_out), case
+                assert decode_stream(lutset, shaped) == pack_symbols(decoded, spec.n_info), case
+                _assert_no_children()
+
+
+def test_stream_without_fork(monkeypatch, deadline, full_lutset):
+    # A failed fork leaves every range to this process, with the same output.
+    spec = full_lutset.spec
+    n_words = 2 * _chunk_words(spec) + 3
+    stream = BitWord(random.Random(13).getrandbits(n_words * spec.n_info), n_words * spec.n_info)
+    shaped = encode_stream(full_lutset, stream)
+
+    def fork():
+        raise OSError("no fork")
+
+    _force_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    assert encode_stream(full_lutset, stream) == shaped
+    assert decode_stream(full_lutset, shaped) == stream
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_stream_ranges_raise_first_invalid_word(monkeypatch, deadline, full_lutset, workers):
+    # Three chunks: the first is this process's range and the last a child's.
+    spec = full_lutset.spec
+    c = _chunk_words(spec)
+    rng = random.Random(7)
+    shaped = [encode(full_lutset, BitWord(rng.getrandbits(spec.n_info), spec.n_info)).value for _ in range(3 * c)]
+    bad_high, bad_leaf = _bad_above_leaves(full_lutset).value, _bad_leaf_chunk(full_lutset, 7).value
+    _force_workers(monkeypatch, workers)
+    for bad, location in (({5: bad_high, 2 * c + 5: bad_leaf}, (2, 0)), ({2 * c + 5: bad_leaf}, (1, 7))):
+        words = [bad.get(j, w) for j, w in enumerate(shaped)]
+        with pytest.raises(InvalidWord) as exc:
+            decode_stream(full_lutset, pack_symbols(words, spec.n_out))
+        assert (exc.value.layer_index, exc.value.lut_index) == location, bad
+        _assert_no_children()
 
 
 def test_stream_raises_first_invalid_word(tmp_path, capsys, full_lutset):
@@ -219,6 +286,13 @@ def test_stream_raises_first_invalid_word(tmp_path, capsys, full_lutset):
     assert captured.out == ""
     assert captured.err == "error: InvalidWord: invalid word at layer 2, lut 0\n"
     assert not out.exists()
+
+
+def test_invalid_word_survives_pickle_and_copy():
+    exc = InvalidWord(2, 5)
+    for back in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+        assert type(back) is InvalidWord
+        assert (back.layer_index, back.lut_index, str(back)) == (2, 5, str(exc))
 
 
 def test_stream_empty(tree3_lutset):
