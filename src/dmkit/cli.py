@@ -51,6 +51,13 @@ SELFTEST_TREES = (
 )
 
 
+# The sampled check trusts a standard error estimated from the sample. For a
+# correct tree, a class lands beyond 4 estimated errors with the Student t
+# tail of n - 1 degrees of freedom: 0.16 at 2 words (the estimate is 0 at 1),
+# 0.016 at 5, at most 4e-4 from 30 on, 6e-5 in the limit.
+SELFTEST_MIN_WORDS = 30
+
+
 def _load(args: argparse.Namespace) -> ToolkitConfig:
     return load_config(args.config if args.config else builtin_config_path())
 
@@ -182,8 +189,8 @@ def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    if args.words < 1:
-        raise ValueError(f"--words must be at least 1, got {args.words}")
+    if args.words < SELFTEST_MIN_WORDS:
+        raise ValueError(f"--words must be at least {SELFTEST_MIN_WORDS}, got {args.words}")
     cfg = _load(args)
     failures = 0
     for name, check in _selftest_checks(cfg, args.seed, args.words):
@@ -237,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in checks")
     add_config(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--words", type=int, default=1000, help="random words per sampled check")
+    p.add_argument(
+        "--words", type=int, default=1000, help=f"random words per sampled check (at least {SELFTEST_MIN_WORDS})"
+    )
     p.set_defaults(func=cmd_selftest)
 
     return parser

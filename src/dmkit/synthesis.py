@@ -61,16 +61,18 @@ class Lut:
 
 @dataclass(frozen=True)
 class LutSet:
-    """All per-layer tables, aligned with spec.layers, and their two lookup views.
+    """All per-layer tables, aligned with spec.layers, and their lookup views.
 
-    Both views are built on first use and cached; equality compares only
+    The views are built on first use and cached; equality compares only
     spec and luts. Treat instances as immutable.
 
     fields[i][j][e] is field j of entry e of spec.layers[i], leftmost field
     first: above the leaf, the r-bit parent value sent to child j; at the
     leaf, class symbol j. mirror[i][w] is the index of the u-bit word w in
     spec.layers[i]'s table, or -1 for a word the table never emits (the
-    invDM table of 2^u addresses).
+    invDM table of 2^u addresses). The codec reads two more views:
+    leaf_text, and split_mirror, the mirror split at the index's r/s
+    boundary.
     """
 
     spec: TreeSpec
@@ -95,6 +97,31 @@ class LutSet:
                 table[w] = i
             out.append(tuple(table))
         return tuple(out)
+
+    @cached_property
+    def leaf_text(self) -> tuple[str, ...]:
+        """leaf_text[e] is leaf entry e as u-bit binary text, the form encode joins."""
+        leaf = self.luts[-1]
+        return tuple([format(w, f"0{leaf.out_bits}b") for w in leaf.entries])
+
+    @cached_property
+    def split_mirror(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
+        """(hi, lo): the mirror as decode reads it, split at the index's r/s boundary.
+
+        For the u-bit word w of spec.layers[i], hi[i][w] is mirror[i][w] >> s,
+        the r-bit value the layer above sent, or -1 for a word the table
+        never emits; lo[i][w] is the index's low s bits as binary text.
+        """
+        his, los = [], []
+        for layer, lut in zip(self.spec.layers, self.luts):
+            s = layer.info_bits
+            text = [format(x, f"0{s}b") for x in range(1 << s)] if s else [""]
+            hi, lo = [-1] * (1 << lut.out_bits), [""] * (1 << lut.out_bits)
+            for i, w in enumerate(lut.entries):
+                hi[w], lo[w] = i >> s, text[i & ((1 << s) - 1)]
+            his.append(tuple(hi))
+            los.append(tuple(lo))
+        return tuple(his), tuple(los)
 
 
 def _band_means(energies: Sequence[float], parent_bits: int | None) -> tuple[float, ...]:

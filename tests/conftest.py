@@ -50,6 +50,11 @@ def tree3_lutset():
 
 
 @pytest.fixture(scope="session")
+def single_lutset():
+    return synthesize_tree(validate_tree(SINGLE_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
 def keepall_lutset():
     return synthesize_tree(validate_tree(KEEPALL_ROWS, 8, 4))
 

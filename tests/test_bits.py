@@ -82,6 +82,30 @@ def test_pack_unpack_symbols():
             assert unpack_symbols(word, width) == symbols
 
 
+def test_unpack_symbols_matches_per_symbol_reference():
+    # Every width the bit-parallel split takes (1-16) and some it leaves to
+    # the block loop (17-24), for every count up to 300 and around a multiple
+    # of the split's block. Each word is the leading symbols of a 300- or
+    # 8193-symbol word whose first and last symbols are all ones, so the
+    # words share that word's reference: (value >> shift) & mask per symbol,
+    # taken 64 symbols at a time so that no shift moves the whole word.
+    rng = random.Random(2026)
+    for width in range(1, 25):
+        mask = (1 << width) - 1
+        for longest, counts in ((300, range(301)), (8193, (8191, 8192, 8193))):
+            value = rng.getrandbits(width * longest) | (mask << (width * (longest - 1))) | mask
+            reference = []
+            for first in range(0, longest, 64):
+                n = min(64, longest - first)
+                piece = (value >> (width * (longest - first - n))) & ((1 << (width * n)) - 1)
+                reference += [(piece >> shift) & mask for shift in range(width * (n - 1), -1, -width)]
+            for count in counts:
+                word = BitWord(value >> (width * (longest - count)), width * count)
+                symbols = unpack_symbols(word, width)
+                assert symbols == tuple(reference[:count]), (width, count)
+                assert pack_symbols(symbols, width) == word, (width, count)
+
+
 def test_bitfile_roundtrip(tmp_path):
     path = tmp_path / "w.bits"
     w = BitWord(0b1_0110_1001, 9)

@@ -119,7 +119,23 @@ def test_selftest_rejects_nonpositive_words(capsys, words):
     assert main(["selftest", "--words", str(words)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: ValueError: --words must be at least 1, got {words}\n"
+    assert captured.err == f"error: ValueError: --words must be at least 30, got {words}\n"
+
+
+@pytest.mark.parametrize("words", [1, 2, 5])
+def test_selftest_refuses_samples_too_small_for_a_standard_error(capsys, words):
+    # At 1 and 2 words the sampled check once failed the correct bundled tree
+    # against a standard error of 0 or a two-point estimate.
+    assert main(["selftest", "--words", str(words)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: --words must be at least 30, got {words}\n"
+
+
+def test_selftest_passes_at_the_smallest_sample(capsys):
+    assert main(["selftest", "--words", "30"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5 and "FAIL" not in out
 
 
 def test_bad_config_is_a_clean_error(tmp_path, capsys):

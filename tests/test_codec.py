@@ -20,7 +20,6 @@ from dmkit import (
     load_test_vectors,
     pack_symbols,
     save_lutset,
-    split_info,
     synthesize_tree,
     unpack_symbols,
     validate_tree,
@@ -32,29 +31,56 @@ from dmkit.codec import _chunk_words
 from conftest import TREE3_ROWS
 
 
-def test_split_info_field_layout(full_spec):
-    # 5 bits to the top LUT, then 5 bits per LUT through the middle layers,
-    # then 3 bits to each of the 64 leaves: 5 + 5*62 + 3*64 = 507.
-    word = BitWord(0b10101 << (507 - 5), 507)
-    fields = split_info(full_spec, word)
-    assert [len(f) for f in fields] == [1, 2, 4, 8, 16, 32, 64]
-    assert fields[0] == (0b10101,)
-    assert all(v == 0 for layer in fields[1:] for v in layer)
+def _naive_encode(lutset, value):
+    """The shaped word of one information word, walked one LUT and one field at a time.
 
-    last = BitWord(0b111, 507)  # lowest 3 bits fill the final leaf field
-    fields = split_info(full_spec, last)
-    assert fields[-1][-1] == 0b111
-    assert sum(len(f) * full_spec.layers[i].info_bits for i, f in enumerate(fields)) == 507
+    Information fields go top layer first, within a layer by LUT index,
+    reading the word MSB-first; each LUT's index is the r bits it received
+    (high) and its s information bits (low); a LUT sends field j of its
+    entry, leftmost first, to its child j; the shaped word is the leaf
+    entries in LUT order.
+    """
+    spec = lutset.spec
+    rest = spec.n_info
+    received = [0]  # r-value received by each LUT of the current layer; the top gets none
+    shaped = 0
+    for i, (layer, lut) in enumerate(zip(spec.layers, lutset.luts)):
+        s = layer.info_bits
+        sent = []
+        for q in range(layer.lut_count):
+            rest -= s
+            entry = lut.entries[(received[q] << s) | ((value >> rest) & ((1 << s) - 1))]
+            if i + 1 == spec.depth:
+                shaped = (shaped << lut.out_bits) | entry
+            else:
+                r = spec.layers[i + 1].parent_bits
+                sent += [(entry >> shift) & ((1 << r) - 1) for shift in range(lut.out_bits - r, -1, -r)]
+        received = sent
+    assert rest == 0
+    return shaped
 
 
-def test_split_info_identity_for_single_layer():
-    spec = validate_tree([{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}], 8, 4)
-    assert split_info(spec, BitWord(0b10, 2)) == ((0b10,),)
+@pytest.mark.parametrize(
+    "fixture", ["full_lutset", "tree2_lutset", "tree3_lutset", "chain_lutset", "single_lutset", "keepall_lutset"]
+)
+def test_encode_matches_naive_field_walk(request, fixture):
+    # One word at a time and three words in one stream chunk. The edge words
+    # put a one in the top LUT's first field and in the last leaf's last field.
+    lutset = request.getfixturevalue(fixture)
+    spec = lutset.spec
+    rng = random.Random(17)
+    edges = [(1 << spec.n_info) - 1, 1 << (spec.n_info - 1), 1]
+    values = edges + [rng.getrandbits(spec.n_info) for _ in range(27)]
+    expected = [_naive_encode(lutset, v) for v in values]
+    assert [encode(lutset, BitWord(v, spec.n_info)).value for v in values] == expected
+    for k in range(0, len(values), 3):
+        stream = pack_symbols(values[k : k + 3], spec.n_info)
+        assert encode_stream(lutset, stream) == pack_symbols(expected[k : k + 3], spec.n_out)
 
 
-def test_split_info_rejects_wrong_width(full_spec):
+def test_encode_rejects_wrong_width(full_lutset):
     with pytest.raises(ValueError):
-        split_info(full_spec, BitWord(0, 506))
+        encode(full_lutset, BitWord(0, 506))
 
 
 def test_zero_maps_to_zero(full_lutset, tree2_lutset, tree3_lutset):
