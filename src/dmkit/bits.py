@@ -8,12 +8,14 @@ end. Hex encodings are the hex digits of that byte packing.
 pack_symbols/unpack_symbols are the one split/join between a word and its
 fixed-width symbols (bits, amplitude classes, LUT entries, or the codec
 fields of a stream); split_symbols is unpack_symbols without the tuple.
-pack_symbols moves whole bytes, in time linear in the width. The split
-takes symbols of up to 16 bits (every LUT entry, leaf output and class
-symbol: tree.MAX_OUT_BITS) bit-parallel: rather than one shift and mask
-per symbol, log2(count) whole-integer steps each move half of every group
-of symbols up, until each symbol sits in its own 8- or 16-bit slot, and
-one bytes or array conversion reads the slots out.
+Symbols of up to 16 bits (every LUT entry, leaf output and class symbol:
+tree.MAX_OUT_BITS) go both ways bit-parallel, through 8- or 16-bit slots.
+The split takes log2(count) whole-integer steps, each moving half of
+every group of symbols up, until each symbol sits in its own slot, and
+one bytes or array conversion reads the slots out. The pack is its
+gather: one bytes or array conversion puts the symbols in slots, and the
+same steps with the same masks, bottom level first, move them back down.
+Wider symbols go one at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Iterable, Sequence
 
 BITFILE_MAGIC = b"DMB1"
 
-# unpack_symbols splits symbols of up to this many bits into 8- or 16-bit
-# slots, at most SPREAD_BLOCK (a multiple of 8) symbols per step.
+# pack_symbols and split_symbols move symbols of up to this many bits through
+# 8- or 16-bit slots, at most SPREAD_BLOCK (a multiple of 8) symbols per step.
 MAX_SPREAD_BITS = 16
 SPREAD_BLOCK = 1 << 11
 
@@ -72,44 +74,75 @@ class BitWord:
         return cls.from_bytes(bytes.fromhex(text), width)
 
 
-def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
-    """Pack fixed-width symbols into a word, first symbol in the high bits."""
-    if bits_per_symbol < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
-    limit = 1 << bits_per_symbol
-    buf = bytearray()
-    acc = 0
-    nbits = 0
+def _check_symbols(symbols: Sequence[int], width: int) -> None:
+    """Raise ValueError naming the first symbol that does not fit in width bits."""
+    limit = 1 << width
     for s in symbols:
         if not 0 <= s < limit:
-            raise ValueError(f"symbol {s} does not fit in {bits_per_symbol} bits")
-        acc = (acc << bits_per_symbol) | s
-        nbits += bits_per_symbol
-        if nbits >= 64:  # move whole bytes out, keeping the accumulator small
-            keep = nbits & 7
-            buf += (acc >> keep).to_bytes(nbits >> 3, "big")
-            acc &= (1 << keep) - 1
-            nbits = keep
-    return BitWord((int.from_bytes(buf, "big") << nbits) | acc, 8 * len(buf) + nbits)
+            raise ValueError(f"symbol {s} does not fit in {width} bits")
+
+
+def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
+    """Pack fixed-width symbols into a word, first symbol in the high bits.
+
+    The inverse of split_symbols, and for symbols of up to MAX_SPREAD_BITS
+    bits its mirror image: the symbols go into 8- or 16-bit slots through
+    one bytes or array conversion, and each block of SPREAD_BLOCK of them is
+    gathered by _gather. Wider symbols are joined as binary text.
+    """
+    width = bits_per_symbol
+    if width < 1:
+        raise ValueError("bits_per_symbol must be >= 1")
+    if not isinstance(symbols, (list, tuple)):
+        symbols = list(symbols)
+    count = len(symbols)
+    if width > MAX_SPREAD_BITS:
+        _check_symbols(symbols, width)
+        return BitWord(int("".join([format(s, f"0{width}b") for s in symbols]) or "0", 2), count * width)
+    slot = 8 if width <= 8 else 16
+    try:
+        slots = bytes(symbols) if slot == 8 else array("H", symbols)
+    except (ValueError, OverflowError):  # a symbol outside the slot
+        _check_symbols(symbols, width)
+        raise
+    if slot == 16:
+        if sys.byteorder == "little":
+            slots.byteswap()
+        slots = slots.tobytes()
+    # Every symbol's high byte must hold only its top width + 8 - slot bits.
+    if width < slot and slots[:: slot // 8].translate(None, bytes(range(1 << (width + 8 - slot)))):
+        _check_symbols(symbols, width)
+    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+    whole = max(count - 1, 0) // SPREAD_BLOCK * SPREAD_BLOCK  # symbols before the last block, whole bytes packed
+    out = bytearray()
+    for first in range(0, whole, SPREAD_BLOCK):
+        block = int.from_bytes(slots[first * slot // 8 : (first + SPREAD_BLOCK) * slot // 8], "big")
+        out += _gather(block, width, SPREAD_BLOCK, masks).to_bytes(SPREAD_BLOCK * width // 8, "big")
+    last = _gather(int.from_bytes(slots[whole * slot // 8 :], "big"), width, count - whole, masks)
+    return BitWord((int.from_bytes(out, "big") << ((count - whole) * width)) | last, count * width)
 
 
 def _spread_masks(width: int, count: int) -> tuple[tuple[int, int], ...]:
     """(mask, shift) of each level of a spread of count symbols, count a power of two, top level first.
 
     The level that splits groups of 2h symbols keeps the low h*width bits of
-    every 2h-slot group and moves the rest up by h*(slot - width). The masks
-    of a count also serve every smaller power of two, through their last
-    levels (& costs the size of the smaller operand). They are built per
-    call: cached, they stayed alive among the short-lived objects of a
-    stream and raised the peak RSS of the bench's stream workload by up to
-    1.6 MB.
+    every 2h-slot group and moves the rest up by h*(slot - width); symbols
+    that fill their slot need no level. A mask is its group's pattern,
+    doubled by shift and or until it covers the count. The masks of a count
+    also serve every smaller power of two, through their last levels (&
+    costs the size of the smaller operand). They are built per call:
+    cached, they stayed alive among the short-lived objects of a stream and
+    raised the peak RSS of the bench's stream workload by up to 1.6 MB.
     """
     slot = 8 if width <= 8 else 16
     levels = []
-    h = count // 2
+    h = count // 2 if width < slot else 0
     while h:
-        pattern = ((1 << (h * width)) - 1).to_bytes(2 * h * slot // 8, "big")
-        levels.append((int.from_bytes(pattern * (count // (2 * h)), "big"), h * (slot - width)))
+        mask, period = (1 << (h * width)) - 1, 2 * h * slot
+        while period < count * slot:
+            mask |= mask << period
+            period *= 2
+        levels.append((mask, h * (slot - width)))
         h //= 2
     return tuple(levels)
 
@@ -124,10 +157,9 @@ def _spread(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     n = 1 << (count - 1).bit_length()
     slot = 8 if width <= 8 else 16
     x <<= (n - count) * width
-    if width < slot:
-        for mask, shift in masks[len(masks) - n.bit_length() + 1 :]:
-            lo = x & mask
-            x = lo | ((x ^ lo) << shift)
+    for mask, shift in masks[len(masks) - n.bit_length() + 1 :]:
+        lo = x & mask
+        x = lo | ((x ^ lo) << shift)
     data = x.to_bytes(n * slot // 8, "big")
     if slot == 8:
         return data[:count]
@@ -135,6 +167,22 @@ def _spread(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     if sys.byteorder == "little":
         slots.byteswap()
     return slots[:count]
+
+
+def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) -> int:
+    """The inverse of _spread: the count width-bit symbols in the 8- or 16-bit slots of x, packed.
+
+    The levels of the spread run bottom level first, each one moving the
+    upper half of every group of slots down onto the lower half:
+    lo = x & m; x = lo | ((x ^ lo) >> shift).
+    """
+    n = 1 << (count - 1).bit_length()
+    slot = 8 if width <= 8 else 16
+    x <<= (n - count) * slot
+    for mask, shift in reversed(masks[len(masks) - n.bit_length() + 1 :]):
+        lo = x & mask
+        x = lo | ((x ^ lo) >> shift)
+    return x >> ((n - count) * width)
 
 
 def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:

@@ -22,31 +22,35 @@ with a table miss is re-run word by word, so a stream raises the
 InvalidWord of its first invalid word.
 
 The fields are cut bit-parallel by bits.split_symbols, which keeps them
-in bytes or a 16-bit array, 1 or 2 bytes a field. encode formats its words
-once as binary text and splits the information fields of all layers with
-the same s in one call (_info_fields); decode splits the leaf outputs in
-one call. encode then reads LutSet.fields above the leaf and
-LutSet.leaf_text at it; decode reads LutSet.split_mirror, which gives each
-word's r-bit value for its parent (hi) and its s information bits as text
-(lo), and never builds the mirror itself. What is left is table lookups, a
-list comprehension or two per layer and direction: in a cProfile of
-one-process dmkit encode --pad and decode of 8192 bundled words (Python
-3.11, x86_64 VM), the splits took 0.08 of 0.59 s, against 0.24 of 0.75 s
-when they cut one field at a time.
+in bytes or a 16-bit array, 1 or 2 bytes a field. encode splits the
+information fields of all layers with the same s in one call
+(_info_fields), taking them where LutSet.info_groups says: from one word
+as integers, from a chunk of words formatted once as binary text; decode
+splits the leaf outputs in one call. encode then reads LutSet.fields
+above the leaf and LutSet.leaf_text at it; decode reads
+LutSet.split_mirror, which gives each word's r-bit value for its parent
+(hi) and its s information bits as text (lo), and never builds the
+mirror itself. What is left is table lookups, a list comprehension or
+two per layer and direction: in a cProfile of one-process dmkit encode
+--pad and decode of 8192 bundled words (Python 3.11, x86_64 VM), the
+splits took 0.08 of 0.59 s, against 0.24 of 0.75 s when they cut one
+field at a time.
 
 Words in a stream are independent, so a long stream runs on every usable
-CPU. Its chunks are split into contiguous ranges of at least RANGE_CHUNKS
-chunks, one per CPU in os.sched_getaffinity: this process runs the first
-range and a forked child each other one, sending the range's output bytes
-back through a pipe. A stream runs in this process alone when it has
-fewer than 2 * RANGE_CHUNKS chunks, when only one CPU is usable, where
-os.fork is missing, and while another thread runs (forking then is
-unsafe); a range whose fork fails runs here too. The ranges are joined in
-stream order, and a range whose child fails is re-run here after the
-ranges before it, so outputs and errors are those of the one-process path:
-a stream with invalid words raises the InvalidWord of its first one. No
-child outlives the call. The children's memory is not counted in this
-process's ru_maxrss but in its RUSAGE_CHILDREN.
+CPU. Its chunks are split into contiguous ranges of at least
+RANGE_CHUNKS chunks, one per CPU in os.sched_getaffinity: this process
+runs the first range and a forked child each other one, sending the
+range's output bytes back through a pipe. The LutSet views a direction
+reads are built before the fork, so that the children inherit them
+instead of building them. A stream runs in this process alone when it
+has fewer than 2 * RANGE_CHUNKS chunks, when only one CPU is usable,
+where os.fork is missing, and while another thread runs (forking then is
+unsafe); a range whose fork fails runs here too. The ranges are joined
+in stream order, and a range whose child fails is re-run here after the
+ranges before it, so outputs and errors are those of the one-process
+path: a stream with invalid words raises the InvalidWord of its first
+one. No child outlives the call. The children's memory is not counted in
+this process's ru_maxrss but in its RUSAGE_CHILDREN.
 
 Both directions are pure functions of an immutable LutSet and may be used
 concurrently.
@@ -91,32 +95,35 @@ class InvalidWord(ValueError):
         return type(self), (self.layer_index, self.lut_index)
 
 
-def _info_fields(spec: TreeSpec, words: BitWord) -> list[Sequence[int]]:
+def _info_fields(lutset: LutSet, words: BitWord) -> list[Sequence[int]]:
     """The information fields of a run of words: per layer, top first, entry k*T + q is the field of LUT q of word k.
 
-    The words are formatted once as binary text. The layers with s
-    information bits per LUT are split together: each word's T*s-bit run of
-    each such layer is sliced out of the text, layer after layer, and one
-    split_symbols call cuts the joined runs into s-bit fields (two calls on
-    the bundled tree).
+    The layers with s information bits per LUT are split together, in one
+    split_symbols call (two on the bundled tree), at the places
+    LutSet.info_groups gives. One word's bits of such layers are cut out of
+    it as integers, one merged run at a time. More words are formatted once
+    as binary text, and each word's T*s-bit run of each layer is sliced out,
+    layer after layer.
     """
+    spec = lutset.spec
     n_info, n_words = spec.n_info, words.width // spec.n_info
-    text = format(words.value, f"0{words.width}b")
-    groups: dict[int, list[tuple[int, int, int]]] = {}  # s -> (layer position, first bit, end bit) per layer
-    end = 0
-    for i, layer in enumerate(spec.layers):
-        start, end = end, end + layer.lut_count * layer.info_bits
-        groups.setdefault(layer.info_bits, []).append((i, start, end))
+    text = format(words.value, f"0{words.width}b") if n_words > 1 else ""
     out: list[Sequence[int]] = [()] * spec.depth
-    for s, group in groups.items():
-        counts = [spec.layers[i].lut_count * n_words for i, _, _ in group]
-        if s:
-            run = "".join([text[k + a : k + b] for _, a, b in group for k in range(0, words.width, n_info)])
-            fields = split_symbols(BitWord(int(run, 2), len(run)), s)
-        else:
+    for s, layers, runs in lutset.info_groups:
+        counts = [spec.layers[i].lut_count * n_words for i, _, _ in layers]
+        fields: Sequence[int]
+        if not s:
             fields = bytes(sum(counts))
+        elif n_words == 1:
+            run = 0
+            for start, end in runs:
+                run = (run << (end - start)) | ((words.value >> (n_info - end)) & ((1 << (end - start)) - 1))
+            fields = split_symbols(BitWord(run, sum(counts) * s), s)
+        else:
+            run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
+            fields = split_symbols(BitWord(int(run, 2), len(run)), s)
         first = 0
-        for (i, _, _), count in zip(group, counts):
+        for (i, _, _), count in zip(layers, counts):
             out[i] = fields[first : first + count]
             first += count
     return out
@@ -125,7 +132,7 @@ def _info_fields(spec: TreeSpec, words: BitWord) -> list[Sequence[int]]:
 def _encode_words(lutset: LutSet, words: BitWord) -> int:
     """The shaped words of a run of information words, concatenated, one layer at a time."""
     spec = lutset.spec
-    *upper, (leaf, leaf_info) = zip(spec.layers, _info_fields(spec, words))
+    *upper, (leaf, leaf_info) = zip(spec.layers, _info_fields(lutset, words))
     parent_r = [0] * (words.width // spec.n_info)  # r-value received by each LUT of the current layer; top gets none
     for (layer, info), fields in zip(upper, lutset.fields):
         s = layer.info_bits
@@ -318,6 +325,8 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
         if not pad:
             raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
         bits = BitWord(bits.value << fill, bits.width + fill)
+    # Built before _run_stream forks, so that its children inherit them.
+    lutset.info_groups, lutset.fields, lutset.leaf_text
     return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset))
 
 
@@ -331,6 +340,7 @@ def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
     if bits.width % n_out:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
     leaf_bits = spec.leaf.out_bits
+    lutset.split_mirror  # built before _run_stream forks, so that its children inherit it
     return _run_stream(
         spec, bits, n_out, spec.n_info, lambda chunk: _decode_chunk(lutset, split_symbols(chunk, leaf_bits))
     )

@@ -18,7 +18,10 @@ field values thus steer every subtree toward low-energy bands, which is
 what shapes the output distribution.
 
 All LUTs within a layer share identical contents. Synthesis is
-deterministic: identical inputs give bit-identical tables.
+deterministic: identical inputs give bit-identical tables, so a table
+read back (load_lutset, lutset_from_entries) is accepted only when it
+equals the one ranked afresh from the layer below. Tables are packed
+bit-parallel (bits.pack_symbols), for the file and for LutSet.fields.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .bits import BitWord, pack_symbols, unpack_symbols
+from .bits import BitWord, pack_symbols, split_symbols
 from .mapping import BITS_PER_QAM, CLASS_BITS, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
-from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
+from .tree import MAX_OUT_BITS, LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
 LUTFILE_FORMAT = 1
@@ -70,9 +73,9 @@ class LutSet:
     first: above the leaf, the r-bit parent value sent to child j; at the
     leaf, class symbol j. mirror[i][w] is the index of the u-bit word w in
     spec.layers[i]'s table, or -1 for a word the table never emits (the
-    invDM table of 2^u addresses). The codec reads two more views:
-    leaf_text, and split_mirror, the mirror split at the index's r/s
-    boundary.
+    invDM table of 2^u addresses). The codec reads three more views:
+    info_groups, leaf_text, and split_mirror, the mirror split at the
+    index's r/s boundary.
     """
 
     spec: TreeSpec
@@ -83,9 +86,15 @@ class LutSet:
         widths = [child.parent_bits for child in self.spec.layers[1:]] + [CLASS_BITS]
         out = []
         for lut, width in zip(self.luts, widths):
-            mask = (1 << width) - 1
+            # The entries packed into MAX_OUT_BITS-bit slots; one shift and one
+            # mask of the whole packing leave a field of every entry in its
+            # slot, and split_symbols reads the slots out.
+            n, slot = len(lut.entries), MAX_OUT_BITS
+            packed = pack_symbols(lut.entries, slot).value
+            mask = int.from_bytes(((1 << width) - 1).to_bytes(slot // 8, "big") * n, "big")
             shifts = range(lut.out_bits - width, -1, -width)
-            out.append(tuple(tuple([(w >> shift) & mask for w in lut.entries]) for shift in shifts))
+            columns = [split_symbols(BitWord((packed >> shift) & mask, slot * n), slot) for shift in shifts]
+            out.append(tuple([tuple(column) for column in columns]))
         return tuple(out)
 
     @cached_property
@@ -103,6 +112,30 @@ class LutSet:
         """leaf_text[e] is leaf entry e as u-bit binary text, the form encode joins."""
         leaf = self.luts[-1]
         return tuple([format(w, f"0{leaf.out_bits}b") for w in leaf.entries])
+
+    @cached_property
+    def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]], ...]:
+        """Where encode finds each layer's information bits in a word, grouped by s.
+
+        One (s, layers, runs) per distinct s, in order of first use top-down:
+        layers holds (position in spec.layers, first bit, end bit) of the
+        T*s bits of a word that each layer with s information bits per LUT
+        takes, and runs the same bits with adjacent ranges merged.
+        """
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        end = 0
+        for i, layer in enumerate(self.spec.layers):
+            start, end = end, end + layer.lut_count * layer.info_bits
+            groups.setdefault(layer.info_bits, []).append((i, start, end))
+        out = []
+        for s, layers in groups.items():
+            runs: list[tuple[int, int]] = []
+            for _, start, end in layers:
+                if runs and runs[-1][1] == start:
+                    start = runs.pop()[0]
+                runs.append((start, end))
+            out.append((s, tuple(layers), tuple(runs)))
+        return tuple(out)
 
     @cached_property
     def split_mirror(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
@@ -208,17 +241,17 @@ def _pack_words_le(words: Sequence[int], width: int) -> bytes:
     contributes its bits LSB first. That is the MSB-first packing of the
     reversed words, read as a little-endian integer.
     """
-    return pack_symbols(reversed(words), width).value.to_bytes((len(words) * width + 7) // 8, "little")
+    return pack_symbols(words[::-1], width).value.to_bytes((len(words) * width + 7) // 8, "little")
 
 
-def _unpack_words_le(data: bytes, width: int, count: int) -> tuple[int, ...]:
-    """Inverse of _pack_words_le; the padding bits after the last word must be zero."""
+def _unpack_words_le(data: bytes, width: int, count: int) -> Sequence[int]:
+    """Inverse of _pack_words_le, as bytes or a 16-bit array; the padding bits must be zero."""
     if len(data) != (count * width + 7) // 8:
         raise LutFormatError(f"layer blob has {len(data)} bytes, expected {(count * width + 7) // 8}")
     value = int.from_bytes(data, "little")
     if value >> (count * width):
         raise LutFormatError("nonzero padding bits in layer blob")
-    return unpack_symbols(BitWord(value, count * width), width)[::-1]
+    return split_symbols(BitWord(value, count * width), width)[::-1]
 
 
 def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
@@ -273,7 +306,7 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
     """Read the binary format, rebuild derived data, and validate.
 
     Energies are recomputed from CLASS_ENERGIES (they are not stored);
-    lutset_from_entries then accepts only the synthesized selection.
+    lutset_from_entries then accepts only the synthesized tables.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -303,40 +336,39 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
 def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int]]) -> LutSet:
     """Assemble a LutSet from explicit per-layer entries (top-down order).
 
-    Recomputes entry and band energies bottom-up and accepts only the
-    synthesized tables: each layer's entries must be in strictly ascending
-    (energy, value) order, and no other word may rank at or below the last
-    entry in that order. Together these leave one possible table per
-    layer, the 2^v cheapest words in order.
+    Accepts only the synthesized tables: bottom-up, each layer's entries
+    must equal the table _ranked_lut builds from the costs of the layer
+    below. Entries that differ are checked further only to name the fault:
+    their count, their range, strictly ascending (energy, value) order, and
+    otherwise, as the 2^v cheapest words in that order are the one table in
+    it, that they are not those words.
     """
     if len(entries_per_layer) != spec.depth:
         raise LutFormatError(f"expected {spec.depth} layers of entries, got {len(entries_per_layer)}")
     cost: Sequence[float] = CLASS_ENERGIES
     luts: list[Lut] = []
     for layer in reversed(spec.layers):
-        layer_index = layer.layer_index
-        entries = tuple(entries_per_layer[spec.depth - layer_index])
-        if len(entries) != 1 << layer.in_bits:
-            raise LutFormatError(f"layer {layer_index}: expected {1 << layer.in_bits} entries")
-        limit = 1 << layer.out_bits
-        for w in entries:
-            if not 0 <= w < limit:
-                raise LutFormatError(f"layer {layer_index}: entry {w} wider than u={layer.out_bits}")
-        sums = _field_sums(cost, layer.out_bits)
-        lut = _lut(layer, entries, sums)
-        energies = lut.entry_energy
-        # The costs are finite, so a duplicate entry ties with its neighbour.
-        for i in range(1, len(entries)):
-            if (energies[i], entries[i]) <= (energies[i - 1], entries[i - 1]):
-                raise LutFormatError(
-                    f"layer {layer_index}: duplicate or out-of-order entry at {i}, "
-                    "not in strictly ascending (energy, value) order"
-                )
-        # The ordered entries all rank at or below the last one; any other
-        # word that does too would have been kept in place of an entry.
-        last_e, last_w = energies[-1], entries[-1]
-        if len([e for e in sums if e < last_e]) + sums[: last_w + 1].count(last_e) != len(entries):
-            raise LutFormatError(f"layer {layer_index}: entries are not the {len(entries)} cheapest words")
+        entries = tuple(entries_per_layer[spec.depth - layer.layer_index])
+        lut = _ranked_lut(layer, cost)
+        if entries != lut.entries:
+            raise LutFormatError(f"layer {layer.layer_index}: {_entry_fault(layer, entries, cost)}")
         luts.append(lut)
         cost = lut.band_energy
     return LutSet(spec=spec, luts=tuple(reversed(luts)))
+
+
+def _entry_fault(layer: LayerParams, entries: tuple[int, ...], cost: Sequence[float]) -> str:
+    """Why entries are not the layer's synthesized table: the first check they fail."""
+    if len(entries) != 1 << layer.in_bits:
+        return f"expected {1 << layer.in_bits} entries"
+    limit = 1 << layer.out_bits
+    for w in entries:
+        if not 0 <= w < limit:
+            return f"entry {w} wider than u={layer.out_bits}"
+    sums = _field_sums(cost, layer.out_bits)
+    energies = [sums[w] for w in entries]
+    # The costs are finite, so a duplicate entry ties with its neighbour.
+    for i in range(1, len(entries)):
+        if (energies[i], entries[i]) <= (energies[i - 1], entries[i - 1]):
+            return f"duplicate or out-of-order entry at {i}, not in strictly ascending (energy, value) order"
+    return f"entries are not the {len(entries)} cheapest words"

@@ -24,6 +24,13 @@ CHAIN_ROWS = [
     {"l": 1, "t": 1, "r": 4, "s": 0, "v": 4, "u": 4},
 ]
 
+# The s = 2 layers are not adjacent: a word's bits for them are two ranges.
+SPLIT_S_ROWS = [
+    {"l": 3, "T": 1, "s": 2, "v": 2, "u": 4},
+    {"l": 2, "t": 2, "r": 2, "s": 1, "v": 3, "u": 4},
+    {"l": 1, "t": 2, "r": 2, "s": 2, "v": 4, "u": 4},
+]
+
 # One-LUT trees: a shaping one (v < u) and a keep-everything one (v = u).
 SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]
 KEEPALL_ROWS = [{"l": 1, "T": 1, "s": 4, "v": 4, "u": 4}]
@@ -47,6 +54,11 @@ def tree2_lutset():
 @pytest.fixture(scope="session")
 def tree3_lutset():
     return synthesize_tree(validate_tree(TREE3_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def split_s_lutset():
+    return synthesize_tree(validate_tree(SPLIT_S_ROWS, 8, 4))
 
 
 @pytest.fixture(scope="session")

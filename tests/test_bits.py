@@ -106,6 +106,60 @@ def test_unpack_symbols_matches_per_symbol_reference():
                 assert pack_symbols(symbols, width) == word, (width, count)
 
 
+def _pack_reference(symbols, width):
+    """pack_symbols as one shift per symbol, moving whole bytes out of an accumulator."""
+    limit = 1 << width
+    buf = bytearray()
+    acc = 0
+    nbits = 0
+    for s in symbols:
+        if not 0 <= s < limit:
+            raise ValueError(f"symbol {s} does not fit in {width} bits")
+        acc = (acc << width) | s
+        nbits += width
+        if nbits >= 64:
+            keep = nbits & 7
+            buf += (acc >> keep).to_bytes(nbits >> 3, "big")
+            acc &= (1 << keep) - 1
+            nbits = keep
+    return BitWord((int.from_bytes(buf, "big") << nbits) | acc, 8 * len(buf) + nbits)
+
+
+def test_pack_symbols_matches_accumulator_reference():
+    # Every width the bit-parallel gather takes (1-16) and some it does not
+    # (17-24), for every count up to 300 and at the edges of one, two and
+    # four gather blocks, from a list, a tuple and a generator. Each input is
+    # the leading symbols of one random list, with its first and last symbols
+    # set to all ones.
+    rng = random.Random(2027)
+    for width in range(1, 25):
+        top = (1 << width) - 1
+        longest = [rng.getrandbits(width) for _ in range(8193)]
+        for count in [*range(301), 2047, 2048, 2049, 4095, 4096, 4097, 8191, 8192, 8193]:
+            symbols = longest[:count]
+            symbols[:1] = symbols[-1:] = [top] * min(count, 1)
+            expected = _pack_reference(symbols, width)
+            assert pack_symbols(symbols, width) == expected, (width, count)
+            assert pack_symbols(tuple(symbols), width) == expected, (width, count)
+            assert pack_symbols((s for s in symbols), width) == expected, (width, count)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 12, 16, 17, 24])
+@pytest.mark.parametrize("position", [0, 1, 2048, 4096])
+def test_pack_symbols_rejects_what_the_reference_rejects(width, position):
+    # Out of range is a ValueError (not the OverflowError of a 16-bit array);
+    # a symbol that is no integer is a TypeError or a ValueError.
+    for bad, errors in ((-1, ValueError), (1 << width, ValueError), (1.5, (TypeError, ValueError)), ("1", TypeError)):
+        symbols = [0] * 4097
+        symbols[position] = bad
+        with pytest.raises(errors):
+            _pack_reference(symbols, width)
+        with pytest.raises(errors):
+            pack_symbols(symbols, width)
+        with pytest.raises(errors):
+            pack_symbols(iter(symbols), width)
+
+
 def test_bitfile_roundtrip(tmp_path):
     path = tmp_path / "w.bits"
     w = BitWord(0b1_0110_1001, 9)

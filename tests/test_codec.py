@@ -61,7 +61,16 @@ def _naive_encode(lutset, value):
 
 
 @pytest.mark.parametrize(
-    "fixture", ["full_lutset", "tree2_lutset", "tree3_lutset", "chain_lutset", "single_lutset", "keepall_lutset"]
+    "fixture",
+    [
+        "full_lutset",
+        "tree2_lutset",
+        "tree3_lutset",
+        "chain_lutset",
+        "split_s_lutset",
+        "single_lutset",
+        "keepall_lutset",
+    ],
 )
 def test_encode_matches_naive_field_walk(request, fixture):
     # One word at a time and three words in one stream chunk. The edge words

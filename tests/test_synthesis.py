@@ -222,6 +222,26 @@ def test_entry_wider_than_u_rejected(tree2_lutset, layer, entry):
         lutset_from_entries(tree2_lutset.spec, rows)
 
 
+@pytest.mark.parametrize("layer", [0, -1])
+def test_entries_not_the_cheapest_rejected(tree2_lutset, layer):
+    from dmkit import lutset_from_entries
+
+    # The last kept word swapped for the first word the ranking left out:
+    # still strictly ascending in (energy, value), but not the cheapest words.
+    lut = tree2_lutset.luts[layer]
+    if layer == -1:
+        ranked = oracle_leaf(lut.out_bits, lut.out_bits, CLASS_ENERGIES)
+    else:
+        bands = tree2_lutset.luts[layer + 1].band_energy
+        ranked = oracle_parent(lut.out_bits, lut.out_bits, len(bands).bit_length() - 1, bands)
+    kept = len(lut.entries)
+    assert [w for _, w in ranked[:kept]] == list(lut.entries)
+    rows = [list(lut.entries) for lut in tree2_lutset.luts]
+    rows[layer][-1] = ranked[kept][1]
+    with pytest.raises(LutFormatError, match=f"not the {kept} cheapest words"):
+        lutset_from_entries(tree2_lutset.spec, rows)
+
+
 def test_load_rejects_corruption(tmp_path, tree2_lutset):
     path = tmp_path / "t.lut"
     save_lutset(tree2_lutset, path)
