@@ -22,12 +22,11 @@ with a table miss is re-run word by word, so a stream raises the
 InvalidWord of its first invalid word.
 
 The fields are cut bit-parallel by bits.split_symbols, which keeps them
-in bytes or a 16-bit array, 1 or 2 bytes a field. encode splits the
-information fields of all layers with the same s in one call
-(_info_fields), taking them where LutSet.info_groups says: from one word
-as integers, from a chunk of words formatted once as binary text; decode
-splits the leaf outputs in one call. encode then reads LutSet.fields
-above the leaf and LutSet.leaf_text at it; decode reads
+in bytes or a 16-bit array, 1 or 2 bytes a field. encode formats its words
+once as binary text and splits the information fields of all layers with
+the same s in one call (_info_fields), at the places LutSet.info_groups
+gives; decode splits the leaf outputs in one call. encode then reads
+LutSet.fields above the leaf and LutSet.leaf_text at it; decode reads
 LutSet.split_mirror, which gives each word's r-bit value for its parent
 (hi) and its s information bits as text (lo), and never builds the
 mirror itself. What is left is table lookups, a list comprehension or
@@ -98,30 +97,23 @@ class InvalidWord(ValueError):
 def _info_fields(lutset: LutSet, words: BitWord) -> list[Sequence[int]]:
     """The information fields of a run of words: per layer, top first, entry k*T + q is the field of LUT q of word k.
 
-    The layers with s information bits per LUT are split together, in one
-    split_symbols call (two on the bundled tree), at the places
-    LutSet.info_groups gives. One word's bits of such layers are cut out of
-    it as integers, one merged run at a time. More words are formatted once
-    as binary text, and each word's T*s-bit run of each layer is sliced out,
-    layer after layer.
+    The words are formatted once as binary text. The layers with s
+    information bits per LUT are split together, at the places
+    LutSet.info_groups gives: each word's T*s-bit run of each such layer is
+    sliced out of the text, layer after layer, and one split_symbols call
+    cuts the joined runs into s-bit fields (two calls on the bundled tree).
     """
     spec = lutset.spec
     n_info, n_words = spec.n_info, words.width // spec.n_info
-    text = format(words.value, f"0{words.width}b") if n_words > 1 else ""
+    text = format(words.value, f"0{words.width}b")
     out: list[Sequence[int]] = [()] * spec.depth
-    for s, layers, runs in lutset.info_groups:
+    for s, layers in lutset.info_groups:
         counts = [spec.layers[i].lut_count * n_words for i, _, _ in layers]
-        fields: Sequence[int]
-        if not s:
-            fields = bytes(sum(counts))
-        elif n_words == 1:
-            run = 0
-            for start, end in runs:
-                run = (run << (end - start)) | ((words.value >> (n_info - end)) & ((1 << (end - start)) - 1))
-            fields = split_symbols(BitWord(run, sum(counts) * s), s)
-        else:
+        if s:
             run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
             fields = split_symbols(BitWord(int(run, 2), len(run)), s)
+        else:
+            fields = bytes(sum(counts))
         first = 0
         for (i, _, _), count in zip(layers, counts):
             out[i] = fields[first : first + count]

@@ -114,28 +114,20 @@ class LutSet:
         return tuple([format(w, f"0{leaf.out_bits}b") for w in leaf.entries])
 
     @cached_property
-    def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]], ...]:
+    def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
         """Where encode finds each layer's information bits in a word, grouped by s.
 
-        One (s, layers, runs) per distinct s, in order of first use top-down:
+        One (s, layers) per distinct s, in order of first use top-down:
         layers holds (position in spec.layers, first bit, end bit) of the
         T*s bits of a word that each layer with s information bits per LUT
-        takes, and runs the same bits with adjacent ranges merged.
+        takes.
         """
         groups: dict[int, list[tuple[int, int, int]]] = {}
         end = 0
         for i, layer in enumerate(self.spec.layers):
             start, end = end, end + layer.lut_count * layer.info_bits
             groups.setdefault(layer.info_bits, []).append((i, start, end))
-        out = []
-        for s, layers in groups.items():
-            runs: list[tuple[int, int]] = []
-            for _, start, end in layers:
-                if runs and runs[-1][1] == start:
-                    start = runs.pop()[0]
-                runs.append((start, end))
-            out.append((s, tuple(layers), tuple(runs)))
-        return tuple(out)
+        return tuple([(s, tuple(layers)) for s, layers in groups.items()])
 
     @cached_property
     def split_mirror(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
