@@ -15,7 +15,10 @@ every group of symbols up, until each symbol sits in its own slot, and
 one bytes or array conversion reads the slots out. The pack is its
 gather: one bytes or array conversion puts the symbols in slots, and the
 same steps with the same masks, bottom level first, move them back down.
-Wider symbols go one at a time.
+Wider symbols go one at a time. split_slots is the split without the
+read-out, the symbols left in their big-endian slots, which is the form
+the codec keeps: wide_slots widens 8-bit slots to 16 bits, and read_slots
+reads 16-bit slots as an array.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 BITFILE_MAGIC = b"DMB1"
 
@@ -80,6 +83,14 @@ def _check_symbols(symbols: Sequence[int], width: int) -> None:
     for s in symbols:
         if not 0 <= s < limit:
             raise ValueError(f"symbol {s} does not fit in {width} bits")
+
+
+def read_slots(data: bytes) -> array:
+    """The big-endian 16-bit slots of data, as an array of ints."""
+    slots = array("H", data)
+    if sys.byteorder == "little":
+        slots.byteswap()
+    return slots
 
 
 def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
@@ -147,26 +158,20 @@ def _spread_masks(width: int, count: int) -> tuple[tuple[int, int], ...]:
     return tuple(levels)
 
 
-def _spread(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) -> Sequence[int]:
-    """The count width-bit fields of x (width <= 16), first field in the high bits.
+def _spread(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) -> bytes:
+    """The count width-bit fields of x (width <= 16), first field in the high bits, one to a big-endian slot.
 
     count is padded to a power of two n with zero symbols at the low end,
-    and masks holds the levels of at least n symbols. The slots are read
-    out as bytes, or as a 16-bit array in this host's byte order.
+    and masks holds the levels of at least n symbols. Slots are 8 bits for
+    widths up to 8 and 16 bits above.
     """
     n = 1 << (count - 1).bit_length()
-    slot = 8 if width <= 8 else 16
+    size = 1 if width <= 8 else 2
     x <<= (n - count) * width
     for mask, shift in masks[len(masks) - n.bit_length() + 1 :]:
         lo = x & mask
         x = lo | ((x ^ lo) << shift)
-    data = x.to_bytes(n * slot // 8, "big")
-    if slot == 8:
-        return data[:count]
-    slots = array("H", data)
-    if sys.byteorder == "little":
-        slots.byteswap()
-    return slots[:count]
+    return x.to_bytes(n * size, "big")[: count * size]
 
 
 def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) -> int:
@@ -185,45 +190,68 @@ def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     return x >> ((n - count) * width)
 
 
-def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
-    """The symbols of a word, as unpack_symbols gives them, in a compact sequence.
+def _blocks(word: BitWord, width: int, per_block: int) -> Iterator[tuple[int, int]]:
+    """(value, count) of each run of per_block width-bit symbols of word, the last run shorter.
 
-    Symbols of up to 8 bits come as bytes, up to MAX_SPREAD_BITS as a 16-bit
-    array, wider ones as a list. The packed bytes are cut into blocks of
-    whole bytes and whole symbols. Symbols of up to MAX_SPREAD_BITS bits go
-    SPREAD_BLOCK to a block, split bit-parallel by _spread. Wider symbols
-    (no caller in the package splits them) stay in this function: blocks of
-    at least 64 bits, one shift and mask per symbol.
+    per_block * width is a multiple of 8, so each run is cut from whole bytes.
     """
-    width = bits_per_symbol
-    if width < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
-    if word.width % width:
-        raise ValueError(f"width {word.width} is not a multiple of {width}")
     count = word.width // width
-    out: bytearray | array | list[int]
-    if width <= MAX_SPREAD_BITS:
-        masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
-        if count <= SPREAD_BLOCK:
-            return _spread(word.value, width, count, masks)
-        per_block = SPREAD_BLOCK
-        out = bytearray() if width <= 8 else array("H")
-    else:
-        per_block = 8 // math.gcd(width, 8)
-        per_block *= -(-64 // (per_block * width))
-        mask = (1 << width) - 1
-        out = []
     block_bytes = per_block * width // 8
     data = word.to_bytes()
     for first in range(0, count, per_block):
         n = min(per_block, count - first)
         start = first * width // 8
         piece = data[start : start + block_bytes]
-        block = int.from_bytes(piece, "big") >> (8 * len(piece) - n * width)
-        if width <= MAX_SPREAD_BITS:
-            out += _spread(block, width, n, masks)
-        else:
-            out += [(block >> shift) & mask for shift in range(width * (n - 1), -1, -width)]
+        yield int.from_bytes(piece, "big") >> (8 * len(piece) - n * width), n
+
+
+def split_slots(word: BitWord, width: int) -> bytes:
+    """The width-bit symbols of word, one to a big-endian 8-bit (width <= 8) or 16-bit slot.
+
+    width is at most MAX_SPREAD_BITS and divides word.width. Blocks of
+    SPREAD_BLOCK symbols are split bit-parallel by _spread.
+    """
+    count = word.width // width
+    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+    if count <= SPREAD_BLOCK:
+        return _spread(word.value, width, count, masks)
+    out = bytearray()
+    for block, n in _blocks(word, width, SPREAD_BLOCK):
+        out += _spread(block, width, n, masks)
+    return out
+
+
+def wide_slots(slots: bytes, width: int) -> bytes:
+    """The slots split_slots gives for width-bit symbols, as big-endian 16-bit slots."""
+    if width > 8:
+        return slots
+    wide = bytearray(2 * len(slots))
+    wide[1::2] = slots
+    return wide
+
+
+def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
+    """The symbols of a word, as unpack_symbols gives them, in a compact sequence.
+
+    Symbols of up to 8 bits come as bytes and up to MAX_SPREAD_BITS as a
+    16-bit array: the slots of split_slots. Wider symbols (no caller in the
+    package splits them) come as a list, cut from blocks of at least 64
+    bits, one shift and mask per symbol.
+    """
+    width = bits_per_symbol
+    if width < 1:
+        raise ValueError("bits_per_symbol must be >= 1")
+    if word.width % width:
+        raise ValueError(f"width {word.width} is not a multiple of {width}")
+    if width <= MAX_SPREAD_BITS:
+        slots = split_slots(word, width)
+        return slots if width <= 8 else read_slots(slots)
+    per_block = 8 // math.gcd(width, 8)
+    per_block *= -(-64 // (per_block * width))
+    mask = (1 << width) - 1
+    out: list[int] = []
+    for block, n in _blocks(word, width, per_block):
+        out += [(block >> shift) & mask for shift in range(width * (n - 1), -1, -width)]
     return out
 
 

@@ -11,29 +11,47 @@ for every word. A shaped word that is not a codec output fails with
 InvalidWord at the first layer where a chunk or reassembled word has no
 table entry; no correction is attempted.
 
-One kernel pair serves single words and streams. It takes a list of words
+One kernel pair serves single words and streams. It takes a run of words
 through the tree one layer at a time, as the LUTs of a layer work side by
-side: every list is flat and word-major, so LUT q of word k sits at
-k*T + q. encode/decode are its one-word case. encode_stream/decode_stream
-cut the stream into chunks of about CHUNK_LOOKUPS table lookups, a
-multiple of 8 words so that chunks are whole bytes, and join the chunk
-outputs as bytes; the whole stream is still held in memory. A decode chunk
-with a table miss is re-run word by word, so a stream raises the
-InvalidWord of its first invalid word.
+side. A layer's values are word-major, LUT q of word k at k*T + q, and
+held as big-endian 16-bit slots (an index or a LUT word has at most
+tree.MAX_OUT_BITS bits): one bytes object per run of words, read into an
+array("H") for the lookups. Each LUT costs one tuple lookup; the rest is
+whole-run bytes and integer operations. encode/decode are its one-word
+case. encode_stream/decode_stream cut the stream into chunks of about
+CHUNK_LOOKUPS table lookups, a multiple of 8 words so that chunks are
+whole bytes, and join the chunk outputs as bytes; the whole stream is
+still held in memory. A decode chunk with a table miss is re-run word by
+word, so a stream raises the InvalidWord of its first invalid word.
 
-The fields are cut bit-parallel by bits.split_symbols, which keeps them
-in bytes or a 16-bit array, 1 or 2 bytes a field. encode formats its words
-once as binary text and splits the information fields of all layers with
-the same s in one call (_info_fields), at the places LutSet.info_groups
-gives; decode splits the leaf outputs in one call. encode then reads
-LutSet.fields above the leaf and LutSet.leaf_text at it; decode reads
-LutSet.split_mirror, which gives each word's r-bit value for its parent
-(hi) and its s information bits as text (lo), and never builds the
-mirror itself. What is left is table lookups, a list comprehension or
-two per layer and direction: in a cProfile of one-process dmkit encode
---pad and decode of 8192 bundled words (Python 3.11, x86_64 VM), the
-splits took 0.08 of 0.59 s, against 0.24 of 0.75 s when they cut one
-field at a time.
+encode cuts the information fields bit-parallel (bits.split_slots), the
+layers with the same s in one call, at the places LutSet.info_groups
+gives. The lookups of an upper layer in LutSet.encode_slots give each
+LUT's t child fields, already in their slots and shifted left by the
+child's s: one join of them and one integer or with the children's
+information fields are the next layer's indices. The leaf's lookups give
+its entries as binary text, joined and read as one integer. decode splits
+the leaf outputs in one call. The lookups of a layer in
+LutSet.decode_slots give each LUT's record: the r-bit value its parent
+sent, in a 16-bit slot, then its s information bits as text; a word the
+table never emits gives None, which the join rejects. The siblings'
+values become their parent's words by whole-integer shifts, ands and
+subtractions; the information bits of every record are cut out once per
+run by strided byte copies and joined word by word. No mirror table is
+built. A 128-word chunk of the bundled tree, about 16k lookups, takes
+1.51 ms to encode and 1.41 ms to decode (one process, best of 120 calls,
+Python 3.11, 2-core x86_64 VM).
+
+Measured dead ends: lookups by str.translate (about 37 ns a character,
+against 16-26 ns for a comprehension lookup); tables of ints turned into
+slots by array("H", list) (about 39 ns an element, which is why the
+tables hold pooled bytes objects that one join concatenates);
+map(table.__getitem__, ...) in place of the comprehension (slower on a
+chunk and on one word); the leaf's entries as slots packed by the bits
+gather instead of joined as text (2.5x slower on one word, no faster on a
+chunk); a gather of each layer's information bits (it doubled one-word
+decode); and, at fanin 2, widening each sibling's byte into a slot
+instead of the subtraction (about 1.5 us a layer slower on one word).
 
 Words in a stream are independent, so a long stream runs on every usable
 CPU. Its chunks are split into contiguous ranges of at least
@@ -62,8 +80,8 @@ import threading
 from functools import partial
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
-from .bits import BitWord, split_symbols
-from .synthesis import LutSet
+from .bits import BitWord, read_slots, split_slots, split_symbols, wide_slots
+from .synthesis import DECODE_FILL, LutSet
 from .tree import TreeSpec
 
 VECTOR_FILE_TAG = "dmkit-vectors"
@@ -94,73 +112,110 @@ class InvalidWord(ValueError):
         return type(self), (self.layer_index, self.lut_index)
 
 
-def _info_fields(lutset: LutSet, words: BitWord) -> list[Sequence[int]]:
-    """The information fields of a run of words: per layer, top first, entry k*T + q is the field of LUT q of word k.
+def _info_slots(lutset: LutSet, words: BitWord) -> list[bytes]:
+    """The information fields of a run of words, per layer top first, as 16-bit big-endian slots: slot k*T + q holds the field of LUT q of word k.
 
     The words are formatted once as binary text. The layers with s
     information bits per LUT are split together, at the places
     LutSet.info_groups gives: each word's T*s-bit run of each such layer is
-    sliced out of the text, layer after layer, and one split_symbols call
+    sliced out of the text, layer after layer, and one split_slots call
     cuts the joined runs into s-bit fields (two calls on the bundled tree).
+    A layer without information bits gets no slots.
     """
     spec = lutset.spec
     n_info, n_words = spec.n_info, words.width // spec.n_info
     text = format(words.value, f"0{words.width}b")
-    out: list[Sequence[int]] = [()] * spec.depth
+    out = [b""] * spec.depth
     for s, layers in lutset.info_groups:
-        counts = [spec.layers[i].lut_count * n_words for i, _, _ in layers]
         if s:
             run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
-            fields = split_symbols(BitWord(int(run, 2), len(run)), s)
-        else:
-            fields = bytes(sum(counts))
-        first = 0
-        for (i, _, _), count in zip(layers, counts):
-            out[i] = fields[first : first + count]
-            first += count
+            slots = wide_slots(split_slots(BitWord(int(run, 2), len(run)), s), s)
+            first = 0
+            for i, a, b in layers:
+                end = first + 2 * n_words * (b - a) // s
+                out[i] = slots[first:end]
+                first = end
     return out
 
 
 def _encode_words(lutset: LutSet, words: BitWord) -> int:
-    """The shaped words of a run of information words, concatenated, one layer at a time."""
-    spec = lutset.spec
-    *upper, (leaf, leaf_info) = zip(spec.layers, _info_fields(lutset, words))
-    parent_r = [0] * (words.width // spec.n_info)  # r-value received by each LUT of the current layer; top gets none
-    for (layer, info), fields in zip(upper, lutset.fields):
-        s = layer.info_bits
-        parent_r = [f[i] for i in [(p << s) | x for p, x in zip(parent_r, info)] for f in fields]
-    s = leaf.info_bits
-    text = lutset.leaf_text
-    return int("".join([text[(p << s) | x] for p, x in zip(parent_r, leaf_info)]), 2)
+    """The shaped words of a run of information words, concatenated, one layer at a time.
+
+    A layer's indices are 16-bit slots, LUT q of word k at slot k*T + q.
+    One lookup per LUT in LutSet.encode_slots gives its children's fields,
+    already in their slots and shifted, and one or adds the children's
+    information fields: the next layer's indices. The leaf's lookups give
+    its entries as binary text.
+    """
+    info = _info_slots(lutset, words)
+    *upper, leaf = lutset.encode_slots
+    index = read_slots(info[0])
+    for table, fields in zip(upper, info[1:]):
+        slots = b"".join([table[e] for e in index])
+        if fields:
+            slots = (int.from_bytes(slots, "big") | int.from_bytes(fields, "big")).to_bytes(len(slots), "big")
+        index = read_slots(slots)
+    return int("".join([leaf[e] for e in index]), 2)
 
 
-def _decode_words(lutset: LutSet, chunks: Sequence[int]) -> int:
+def _decode_words(lutset: LutSet, words: Sequence[int]) -> int:
     """The information words of shaped words, concatenated.
 
-    chunks are the words' leaf outputs, word-major. The mirror tables run
-    upward one layer at a time, read through LutSet.split_mirror. Raises
-    InvalidWord at the first layer with a table miss, naming the LUT of the
-    first miss within its word.
+    words are the shaped words' leaf outputs, word-major. The mirror tables
+    run upward one layer at a time: one lookup per LUT in
+    LutSet.decode_slots gives its record, the r-bit value its parent sent
+    and its s information bits as text. The records' r-bit values are
+    merged into the parent words by whole-integer operations; the
+    information bits of all records are cut out together and joined word
+    by word, at the places LutSet.info_runs gives. Raises InvalidWord at
+    the first layer with a table miss, naming the LUT of the first miss
+    within its word.
     """
     spec = lutset.spec
-    his, los = lutset.split_mirror
-    runs = []  # per layer with information bits, bottom-up: (fields of every word as text, bits per word)
-    words = chunks
-    for layer, hi, lo in zip(reversed(spec.layers), reversed(his), reversed(los)):
-        h = [hi[w] for w in words]
-        if -1 in h:
-            raise InvalidWord(layer.layer_index, h.index(-1) % layer.lut_count)
-        if layer.info_bits:
-            runs.append(("".join([lo[w] for w in words]), layer.lut_count * layer.info_bits))
-        if layer.fanin:
-            # t sibling r-values form the parent's word.
-            r, t = layer.parent_bits, layer.fanin
-            words = h[::t]
-            for j in range(1, t):
-                words = [(w << r) | i for w, i in zip(words, h[j::t])]
-    runs.reverse()
-    n_words = len(chunks) // spec.leaf.lut_count
-    return int("".join([run[k * width : (k + 1) * width] for k in range(n_words) for run, width in runs]), 2)
+    tables = lutset.decode_slots
+    n_words = len(words) // spec.leaf.lut_count
+    size = len(tables[0][lutset.luts[0].entries[0]])  # every record has this many bytes
+    records = [b""] * spec.depth  # per layer: the records of its lookups, joined
+    for i in range(spec.depth - 1, -1, -1):
+        layer, table = spec.layers[i], tables[i]
+        try:
+            records[i] = joined = b"".join([table[w] for w in words])
+        except TypeError:  # a None: a word the table never emits
+            miss = [table[w] for w in words].index(None)
+            raise InvalidWord(layer.layer_index, miss % layer.lut_count) from None
+        t = layer.fanin
+        if t == 2:
+            # Byte 1 of a record is its r-bit value (r <= 8 at fanin 2), so
+            # the two siblings' bytes read as a 16-bit slot a*2^8 + b, and
+            # the parent's word a*2^r + b is that less a*(2^8 - 2^r).
+            pair = joined[1::size]
+            x = int.from_bytes(pair, "big")
+            x -= ((x >> 8) & int.from_bytes(b"\0\xff" * (len(pair) // 2), "big")) * (256 - (1 << layer.parent_bits))
+            words = read_slots(x.to_bytes(len(pair), "big"))
+        elif t:
+            # The t sibling r-values, leftmost first, form the parent's word:
+            # byte 1 of every t-th record is one sibling's value, put in the
+            # low byte of a 16-bit slot. Only a fanin-1 layer receives more
+            # than 8 bits, from byte 0 too.
+            r, step = layer.parent_bits, size * t
+            slot = bytearray(2 * len(joined) // step)
+            if r > 8:
+                slot[0::2] = joined[::step]
+            parent = 0
+            for j in range(1, step, size):
+                slot[1::2] = joined[j::step]
+                parent = (parent << r) | int.from_bytes(slot, "big")
+            words = read_slots(parent.to_bytes(len(slot), "big"))
+    # The information bits of every record, layer after layer, as text: each
+    # record's last size - 2 bytes, less the fill.
+    joined = b"".join(records)
+    text = bytearray(len(joined) // size * (size - 2))
+    for k in range(2, size):
+        text[k - 2 :: size - 2] = joined[k::size]
+    text = text.translate(None, DECODE_FILL)
+    # A layer's bits start at n_words times where they start in a word.
+    runs = [(n_words * first, w) for first, w in lutset.info_runs]
+    return int(b"".join([text[first + k * w : first + k * w + w] for k in range(n_words) for first, w in runs]), 2)
 
 
 def _decode_chunk(lutset: LutSet, chunks: Sequence[int]) -> int:
@@ -318,7 +373,7 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
             raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
         bits = BitWord(bits.value << fill, bits.width + fill)
     # Built before _run_stream forks, so that its children inherit them.
-    lutset.info_groups, lutset.fields, lutset.leaf_text
+    lutset.info_groups, lutset.encode_slots
     return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset))
 
 
@@ -332,7 +387,8 @@ def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
     if bits.width % n_out:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
     leaf_bits = spec.leaf.out_bits
-    lutset.split_mirror  # built before _run_stream forks, so that its children inherit it
+    # Built before _run_stream forks, so that its children inherit them.
+    lutset.decode_slots, lutset.info_runs
     return _run_stream(
         spec, bits, n_out, spec.n_info, lambda chunk: _decode_chunk(lutset, split_symbols(chunk, leaf_bits))
     )

@@ -31,6 +31,34 @@ SPLIT_S_ROWS = [
     {"l": 1, "t": 2, "r": 2, "s": 2, "v": 4, "u": 4},
 ]
 
+# Boundary trees for the 16-bit slots the codec moves indices in. Fanin 4:
+# one parent word holds four child fields, and t*s = 20 child information
+# bits per parent exceed a slot.
+FANIN4_ROWS = [
+    {"l": 2, "T": 1, "s": 8, "v": 8, "u": 16},
+    {"l": 1, "t": 4, "r": 4, "s": 5, "v": 9, "u": 12},
+]
+
+# Fanin 3: a fanin that is no power of two.
+FANIN3_ROWS = [
+    {"l": 2, "T": 1, "s": 6, "v": 6, "u": 12},
+    {"l": 1, "t": 3, "r": 4, "s": 6, "v": 10, "u": 12},
+]
+
+# 16-bit LUTs: the leaf keeps all 2^16 words (v = u = 16), so no leaf word
+# misses and index 0xFFFF is valid; its parent sends 8-bit fields.
+FULL16_ROWS = [
+    {"l": 2, "T": 1, "s": 10, "v": 10, "u": 16},
+    {"l": 1, "t": 2, "r": 8, "s": 8, "v": 16, "u": 16},
+]
+
+# Fanin 1 with r = 9: the one value a LUT sends its child is wider than a
+# byte, which only fanin 1 allows.
+WIDE_CHAIN_ROWS = [
+    {"l": 2, "T": 1, "s": 7, "v": 7, "u": 9},
+    {"l": 1, "t": 1, "r": 9, "s": 2, "v": 11, "u": 12},
+]
+
 # One-LUT trees: a shaping one (v < u) and a keep-everything one (v = u).
 SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]
 KEEPALL_ROWS = [{"l": 1, "T": 1, "s": 4, "v": 4, "u": 4}]
@@ -74,3 +102,23 @@ def keepall_lutset():
 @pytest.fixture(scope="session")
 def chain_lutset():
     return synthesize_tree(validate_tree(CHAIN_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def fanin4_lutset():
+    return synthesize_tree(validate_tree(FANIN4_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def fanin3_lutset():
+    return synthesize_tree(validate_tree(FANIN3_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def full16_lutset():
+    return synthesize_tree(validate_tree(FULL16_ROWS, 8, 4))
+
+
+@pytest.fixture(scope="session")
+def wide_chain_lutset():
+    return synthesize_tree(validate_tree(WIDE_CHAIN_ROWS, 8, 4))

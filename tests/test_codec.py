@@ -60,18 +60,60 @@ def _naive_encode(lutset, value):
     return shaped
 
 
-@pytest.mark.parametrize(
-    "fixture",
-    [
-        "full_lutset",
-        "tree2_lutset",
-        "tree3_lutset",
-        "chain_lutset",
-        "split_s_lutset",
-        "single_lutset",
-        "keepall_lutset",
-    ],
-)
+def _naive_decode(lutset, shaped):
+    """The information word of one shaped word, or the (layer_index, lut_index) of its first table miss.
+
+    Walks the mirror tables one LUT at a time, bottom-up: the leaf reads the
+    shaped word's u-bit chunks in LUT order; every other LUT reads the word
+    its t children's indices send up, their r high bits, leftmost child
+    first. A LUT's s low index bits are its information bits, which go back
+    top layer first, by LUT index. The first miss is the lowest layer's, and
+    within it the lowest LUT index's.
+    """
+    spec = lutset.spec
+    u = spec.leaf.out_bits
+    words = [(shaped >> (spec.n_out - (q + 1) * u)) & ((1 << u) - 1) for q in range(spec.leaf.lut_count)]
+    info = [None] * spec.depth
+    for i in range(spec.depth - 1, -1, -1):
+        layer, mirror = spec.layers[i], lutset.mirror[i]
+        indices = []
+        for q, w in enumerate(words):
+            if mirror[w] < 0:
+                return layer.layer_index, q
+            indices.append(mirror[w])
+        s = layer.info_bits
+        info[i] = [e & ((1 << s) - 1) for e in indices]
+        if layer.fanin:
+            r, t = layer.parent_bits, layer.fanin
+            words = []
+            for p in range(0, len(indices), t):
+                w = 0
+                for e in indices[p : p + t]:
+                    w = (w << r) | (e >> s)
+                words.append(w)
+    value = 0
+    for layer, fields in zip(spec.layers, info):
+        for x in fields:
+            value = (value << layer.info_bits) | x
+    return value
+
+
+ALL_TREES = [
+    "full_lutset",
+    "tree2_lutset",
+    "tree3_lutset",
+    "chain_lutset",
+    "split_s_lutset",
+    "single_lutset",
+    "keepall_lutset",
+    "fanin4_lutset",
+    "fanin3_lutset",
+    "full16_lutset",
+    "wide_chain_lutset",
+]
+
+
+@pytest.mark.parametrize("fixture", ALL_TREES)
 def test_encode_matches_naive_field_walk(request, fixture):
     # One word at a time and three words in one stream chunk. The edge words
     # put a one in the top LUT's first field and in the last leaf's last field.
@@ -232,7 +274,19 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("lutset_name", ["full_lutset", "tree3_lutset", "tree2_lutset", "chain_lutset"])
+@pytest.mark.parametrize(
+    "lutset_name",
+    [
+        "full_lutset",
+        "tree3_lutset",
+        "tree2_lutset",
+        "chain_lutset",
+        "fanin4_lutset",
+        "fanin3_lutset",
+        "full16_lutset",
+        "wide_chain_lutset",
+    ],
+)
 def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_name):
     # Word counts around one and two stream chunks, with and without a padded
     # tail, in one, two and three processes: at 2c + 3 words, three ranges of
@@ -258,6 +312,46 @@ def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_na
                 assert shaped == pack_symbols(per_word, spec.n_out), case
                 assert decode_stream(lutset, shaped) == pack_symbols(decoded, spec.n_info), case
                 _assert_no_children()
+
+
+@pytest.mark.parametrize("fixture", ALL_TREES)
+def test_decode_matches_naive_mirror_walk(request, monkeypatch, deadline, fixture):
+    # Codec outputs and the same words with one flipped bit, one word at a
+    # time and as streams in one process and in three. The last stream spans
+    # three ranges, and its first invalid word sits in a forked child's.
+    lutset = request.getfixturevalue(fixture)
+    spec = lutset.spec
+    rng = random.Random(23)
+    values = [rng.getrandbits(spec.n_info) for _ in range(40)]
+    shaped = [_naive_encode(lutset, v) for v in values]
+    assert [_naive_decode(lutset, w) for w in shaped] == values
+    assert [decode(lutset, BitWord(w, spec.n_out)).value for w in shaped] == values
+    flipped = [w ^ (1 << rng.randrange(spec.n_out)) for w in shaped]
+    expected = [_naive_decode(lutset, w) for w in flipped]
+    for word, want in zip(flipped, expected):
+        if isinstance(want, tuple):
+            with pytest.raises(InvalidWord) as exc:
+                decode(lutset, BitWord(word, spec.n_out))
+            assert (exc.value.layer_index, exc.value.lut_index) == want, hex(word)
+        else:
+            assert decode(lutset, BitWord(word, spec.n_out)).value == want, hex(word)
+    valid = [(w, want) for w, want in zip(flipped, expected) if not isinstance(want, tuple)]
+    invalid = [(w, want) for w, want in zip(flipped, expected) if isinstance(want, tuple)]
+    streams = []  # streams with invalid words: the flipped words, and 2c + 3 words with invalid ones in ranges 1 and 2
+    if invalid:
+        c = _chunk_words(spec)
+        ranged = [shaped[j % len(shaped)] for j in range(2 * c + 3)]
+        ranged[c + 1], ranged[2 * c + 1] = invalid[0][0], invalid[-1][0]
+        streams = [flipped, ranged]
+    for workers in (1, 3):
+        _force_workers(monkeypatch, workers)
+        stream = pack_symbols([w for w, _ in valid], spec.n_out)
+        assert decode_stream(lutset, stream) == pack_symbols([want for _, want in valid], spec.n_info)
+        for words in streams:
+            with pytest.raises(InvalidWord) as exc:
+                decode_stream(lutset, pack_symbols(words, spec.n_out))
+            assert (exc.value.layer_index, exc.value.lut_index) == invalid[0][1], workers
+        _assert_no_children()
 
 
 def test_stream_without_fork(monkeypatch, deadline, full_lutset):
