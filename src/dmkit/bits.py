@@ -23,12 +23,11 @@ reads 16-bit slots as an array.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 BITFILE_MAGIC = b"DMB1"
 
@@ -190,34 +189,23 @@ def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     return x >> ((n - count) * width)
 
 
-def _blocks(word: BitWord, width: int, per_block: int) -> Iterator[tuple[int, int]]:
-    """(value, count) of each run of per_block width-bit symbols of word, the last run shorter.
-
-    per_block * width is a multiple of 8, so each run is cut from whole bytes.
-    """
-    count = word.width // width
-    block_bytes = per_block * width // 8
-    data = word.to_bytes()
-    for first in range(0, count, per_block):
-        n = min(per_block, count - first)
-        start = first * width // 8
-        piece = data[start : start + block_bytes]
-        yield int.from_bytes(piece, "big") >> (8 * len(piece) - n * width), n
-
-
 def split_slots(word: BitWord, width: int) -> bytes:
     """The width-bit symbols of word, one to a big-endian 8-bit (width <= 8) or 16-bit slot.
 
     width is at most MAX_SPREAD_BITS and divides word.width. Blocks of
-    SPREAD_BLOCK symbols are split bit-parallel by _spread.
+    SPREAD_BLOCK symbols are split bit-parallel by _spread, each cut from
+    whole bytes of the word (SPREAD_BLOCK is a multiple of 8).
     """
     count = word.width // width
     masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
     if count <= SPREAD_BLOCK:
         return _spread(word.value, width, count, masks)
+    data = word.to_bytes()
     out = bytearray()
-    for block, n in _blocks(word, width, SPREAD_BLOCK):
-        out += _spread(block, width, n, masks)
+    for first in range(0, count, SPREAD_BLOCK):
+        n = min(SPREAD_BLOCK, count - first)
+        block = data[first * width // 8 : (first + SPREAD_BLOCK) * width // 8]
+        out += _spread(int.from_bytes(block, "big") >> (8 * len(block) - n * width), width, n, masks)
     return out
 
 
@@ -235,8 +223,8 @@ def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
 
     Symbols of up to 8 bits come as bytes and up to MAX_SPREAD_BITS as a
     16-bit array: the slots of split_slots. Wider symbols (no caller in the
-    package splits them) come as a list, cut from blocks of at least 64
-    bits, one shift and mask per symbol.
+    package splits them) come as a list, cut from the word's binary text,
+    the way pack_symbols joins them.
     """
     width = bits_per_symbol
     if width < 1:
@@ -246,13 +234,8 @@ def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
     if width <= MAX_SPREAD_BITS:
         slots = split_slots(word, width)
         return slots if width <= 8 else read_slots(slots)
-    per_block = 8 // math.gcd(width, 8)
-    per_block *= -(-64 // (per_block * width))
-    mask = (1 << width) - 1
-    out: list[int] = []
-    for block, n in _blocks(word, width, per_block):
-        out += [(block >> shift) & mask for shift in range(width * (n - 1), -1, -width)]
-    return out
+    text = format(word.value, f"0{word.width}b")
+    return [int(text[k : k + width], 2) for k in range(0, word.width, width)]
 
 
 def unpack_symbols(word: BitWord, bits_per_symbol: int) -> tuple[int, ...]:

@@ -19,10 +19,11 @@ tree.MAX_OUT_BITS bits): one bytes object per run of words, read into an
 array("H") for the lookups. Each LUT costs one tuple lookup; the rest is
 whole-run bytes and integer operations. encode/decode are its one-word
 case. encode_stream/decode_stream cut the stream into chunks of about
-CHUNK_LOOKUPS table lookups, a multiple of 8 words so that chunks are
-whole bytes, and join the chunk outputs as bytes; the whole stream is
-still held in memory. A decode chunk with a table miss is re-run word by
-word, so a stream raises the InvalidWord of its first invalid word.
+CHUNK_LOOKUPS table lookups, a multiple of 8 words so that every chunk
+starts on a whole byte, and write each chunk's output bytes in place into
+one buffer of the whole output; the whole stream is still held in memory.
+A decode chunk with a table miss is re-run word by word, so a stream
+raises the InvalidWord of its first invalid word.
 
 encode cuts the information fields bit-parallel (bits.split_slots), the
 layers with the same s in one call, at the places LutSet.info_groups
@@ -56,18 +57,20 @@ instead of the subtraction (about 1.5 us a layer slower on one word).
 Words in a stream are independent, so a long stream runs on every usable
 CPU. Its chunks are split into contiguous ranges of at least
 RANGE_CHUNKS chunks, one per CPU in os.sched_getaffinity: this process
-runs the first range and a forked child each other one, sending the
-range's output bytes back through a pipe. The LutSet views a direction
-reads are built before the fork, so that the children inherit them
-instead of building them. A stream runs in this process alone when it
-has fewer than 2 * RANGE_CHUNKS chunks, when only one CPU is usable,
-where os.fork is missing, and while another thread runs (forking then is
-unsafe); a range whose fork fails runs here too. The ranges are joined
-in stream order, and a range whose child fails is re-run here after the
-ranges before it, so outputs and errors are those of the one-process
-path: a stream with invalid words raises the InvalidWord of its first
-one. No child outlives the call. The children's memory is not counted in
-this process's ru_maxrss but in its RUSAGE_CHILDREN.
+runs the first range and a forked child each other one. The output
+buffer is an anonymous shared mmap made before the fork, so each range
+writes its bytes where they belong and a child reports only its exit
+status. The LutSet views a direction reads are built before the fork
+too, so that the children inherit them instead of building them. A
+stream runs in this process alone when it has fewer than 2 * RANGE_CHUNKS
+chunks, when only one CPU is usable, where os.fork is missing, and while
+another thread runs (forking then is unsafe); a range whose fork fails
+runs here too. A range whose child fails is re-run here after the ranges
+before it, over the bytes the child left, so outputs and errors are those
+of the one-process path: a stream with invalid words raises the
+InvalidWord of its first one. No child outlives the call. The children's
+memory is not counted in this process's ru_maxrss but in its
+RUSAGE_CHILDREN.
 
 Both directions are pure functions of an immutable LutSet and may be used
 concurrently.
@@ -75,10 +78,11 @@ concurrently.
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from functools import partial
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .bits import BitWord, read_slots, split_slots, split_symbols, wide_slots
 from .synthesis import DECODE_FILL, LutSet
@@ -269,94 +273,80 @@ def _stream_workers(n_chunks: int) -> int:
     return max(1, min(cpus, n_chunks // RANGE_CHUNKS))
 
 
-def _fork_range(run: Callable[[int, int], Iterator[bytes]], first: int, stop: int) -> tuple[int, BinaryIO] | None:
-    """Start a child that writes the bytes of run(first, stop) to a pipe and exits.
+def _fork_range(run: Callable[[int, int], None], first: int, stop: int) -> int | None:
+    """Start a child that runs run(first, stop) and exits: 0 once it returns, 1 after any exception.
 
-    Returns the child's pid and the pipe's read end, or None when no pipe or
-    process could be made. The child exits 0 once every byte is written,
-    and 1 after any exception.
+    Returns the child's pid, or None when no process could be made.
     """
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
         return None
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            pieces = list(run(first, stop))  # all of them first: a full pipe blocks until the reader is free
-            with open(write_fd, "wb") as pipe:
-                pipe.writelines(pieces)
+            run(first, stop)
             status = 0
         finally:
             os._exit(status)  # never return into the caller's stack
-    os.close(write_fd)
-    return pid, open(read_fd, "rb", buffering=0)
+    return pid
 
 
 def _run_stream(spec: TreeSpec, bits: BitWord, n_in: int, n_out: int, step: Callable[[BitWord], int]) -> BitWord:
     """Map a stream of n_in-bit words to n_out-bit words, a chunk of words at a time.
 
     step takes the chunk's words as one BitWord and returns their outputs,
-    concatenated. Chunks are a multiple of 8 words, so every chunk but the
-    last is whole bytes on both sides, and the outputs are joined as bytes.
+    concatenated. Chunks are a multiple of 8 words, so every chunk starts on
+    a whole byte on both sides: its output bytes are written in place, into
+    one anonymous shared mmap of the whole output made before any fork.
     The chunks are cut into _stream_workers contiguous ranges: this process
-    runs the first, a forked child each other one, and a range whose child
-    fails or returns short is re-run here, after the ranges before it.
+    runs the first, a forked child each other one, and a range whose fork
+    fails or whose child exits nonzero is re-run here, after the ranges
+    before it, over whatever bytes the child left.
     """
     chunk = _chunk_words(spec)
     data = bits.to_bytes()
     n_words = bits.width // n_in
+    size = -(-n_words * n_out // 8)
 
-    def run(first: int, stop: int) -> Iterator[bytes]:
-        """The output bytes of words first..stop-1, one chunk at a time."""
+    def run(first: int, stop: int) -> None:
+        """Write the output bytes of words first..stop-1 in place, one chunk at a time."""
         for first in range(first, stop, chunk):
             count = min(chunk, stop - first)
             start, end = first * n_in // 8, -(-(first + count) * n_in // 8)
             piece = int.from_bytes(data[start:end], "big") >> (8 * (end - start) - count * n_in)
-            yield BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes()
+            piece = BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes()
+            at = first * n_out // 8
+            out[at : at + len(piece)] = piece
 
     n_chunks = -(-n_words // chunk)
     workers = _stream_workers(n_chunks)
     bounds = [min(n_words, n_chunks * k // workers * chunk) for k in range(workers + 1)]
     ranges = list(zip(bounds, bounds[1:]))
-    children: dict[int, tuple[int, BinaryIO]] = {}  # range number -> (pid, read end of its pipe)
-    try:
-        for k in range(1, workers):
-            child = _fork_range(run, *ranges[k])
-            if child:
-                children[k] = child
-        out = list(run(*ranges[0]))
-        for k, (first, stop) in enumerate(ranges[1:], start=1):
-            pieces = None
-            if k in children:
-                pid, pipe = children[k]
-                with pipe:
-                    pieces = list(iter(partial(pipe.read, 1 << 16), b""))
-                del children[k]
-                # Only the last range can end in a partial byte.
-                if os.waitpid(pid, 0)[1] or sum(map(len, pieces)) != -(-(stop - first) * n_out // 8):
-                    pieces = None
-            out.extend(run(first, stop) if pieces is None else pieces)
-    finally:
-        # On an early exit, a child may still be computing, or blocked writing
-        # to a full pipe whose read end a later child also holds, so closing
-        # the pipe would not stop it. signal is imported only here: at module
-        # level it adds 0.13 MB to every process's ru_maxrss.
-        if children:
-            import signal
-        for pid, pipe in children.values():
-            os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            os.waitpid(pid, 0)
-    del data  # the join below is the call's memory peak; the input's bytes are no longer needed
-    return BitWord.from_bytes(b"".join(out), n_words * n_out)
+    children: dict[int, int] = {}  # range number -> pid of the child running it
+    with mmap.mmap(-1, max(size, 1)) as out:  # an anonymous mmap cannot be empty
+        try:
+            for k in range(1, workers):
+                pid = _fork_range(run, *ranges[k])
+                if pid:
+                    children[k] = pid
+            run(*ranges[0])
+            for k in range(1, workers):
+                status = os.waitpid(children[k], 0)[1] if k in children else 1
+                children.pop(k, None)
+                if status:
+                    run(*ranges[k])
+        finally:
+            # On an early exit, no child may outlive the call. signal is
+            # imported only here: at module level it adds 0.13 MB to every
+            # process's ru_maxrss.
+            if children:
+                import signal
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        del data  # the read-out below is the call's memory peak; the input's bytes are no longer needed
+        return BitWord.from_bytes(out[:size], n_words * n_out)
 
 
 def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:

@@ -4,9 +4,8 @@ exact_class_pmf propagates index distributions down the tree: the top
 index is uniform over its information bits; a layer's entry distribution
 induces the distribution of each child's parent field, and a child index
 is that field joined with uniform information bits. The leaf is one more
-step of the same walk, whose fields are the 2-bit class symbols. Every
-intermediate probability is a dyadic rational, so the accumulation is
-exact within the bound that exact_class_pmf states.
+step of the same walk, whose fields are the 2-bit class symbols. The walk
+carries integer counts, so it is exact; only the final division rounds.
 
 stats_from_pmf turns a class or magnitude distribution of the fixed
 256-QAM labeling (see mapping) into the usual shaped-signal figures: mean
@@ -93,31 +92,27 @@ class StatsReport:
 def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     """Class distribution of the shaped output under uniform input bits.
 
-    One index distribution per layer is carried down, summed over the
-    layer's LUTs: every child distribution is linear in its parent's, so
-    the sum propagates like a single one, with total mass T_l. Each sum is
-    a dyadic rational with at most Σs fractional bits (Σs over one
-    root-to-leaf path), so the propagation is exact while Σs + log2(T_1)
-    stays within the 53-bit double mantissa (39 bits on the bundled tree);
-    the class totals add log2 of the symbols per leaf word to that.
+    One index count per layer is carried down, summed over the layer's
+    LUTs: every top index counts 1, and each child index, a parent field
+    followed by the child's s information bits, inherits that field's
+    count. The counts are exact integers, divided once at the end.
 
     The walk reads each layer's LutSet.fields columns: the children's
     r-bit parent fields above the leaf, class symbols at the leaf, whose
-    field totals are the class distribution before normalization.
+    field totals are the class counts.
     """
     spec = lutset.spec
-    dist = [1.0 / (1 << spec.top.in_bits)] * (1 << spec.top.in_bits)
+    counts = [1] * (1 << spec.top.in_bits)
     for pos, (lut, columns) in enumerate(zip(lutset.luts, lutset.fields)):
-        field_p = [0.0] * (1 << (lut.out_bits // len(columns)))
+        field_counts = [0] * (1 << (lut.out_bits // len(columns)))
         for column in columns:
-            for p, f in zip(dist, column):
-                field_p[f] += p
+            for n, f in zip(counts, column):
+                field_counts[f] += n
         if pos + 1 < spec.depth:
             n_s = 1 << spec.layers[pos + 1].info_bits
-            u_s = 1.0 / n_s
-            dist = [p * u_s for p in field_p for _ in range(n_s)]
-    grand = sum(field_p)
-    return tuple(x / grand for x in field_p)
+            counts = [n for n in field_counts for _ in range(n_s)]
+    total = sum(field_counts)
+    return tuple(n / total for n in field_counts)
 
 
 def monte_carlo_pmf(

@@ -290,7 +290,10 @@ def _assert_no_children():
 def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_name):
     # Word counts around one and two stream chunks, with and without a padded
     # tail, in one, two and three processes: at 2c + 3 words, three ranges of
-    # one chunk each, the last one ragged.
+    # one chunk each, the last one ragged. Every multi-process output equals
+    # the one-process output in full, and every word round-trips; the
+    # one-word codec checks the words on either side of each chunk (and
+    # range) edge, the last word and the padded tail.
     lutset = request.getfixturevalue(lutset_name)
     spec = lutset.spec
     c = _chunk_words(spec)
@@ -302,15 +305,20 @@ def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_na
             stream = pack_symbols(words, spec.n_info)
             stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
             padded = words + [tail << (spec.n_info - tail_bits)] if tail_bits else words
-            per_word = [encode(lutset, BitWord(w, spec.n_info)).value for w in padded]
-            decoded = [decode(lutset, BitWord(v, spec.n_out)).value for v in per_word]
-            assert decoded == padded
-            for workers in (1, 2, 3):
+            expected = pack_symbols(padded, spec.n_info)
+            case = (n_words, tail_bits)
+            _force_workers(monkeypatch, 1)
+            shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
+            assert decode_stream(lutset, shaped) == expected, case
+            out = unpack_symbols(shaped, spec.n_out)
+            edges = {j for k in range(0, len(padded), c) for j in (k - 1, k)} | {len(padded) - 1}
+            for j in sorted(edges - {-1}):
+                assert encode(lutset, BitWord(padded[j], spec.n_info)).value == out[j], (case, j)
+                assert decode(lutset, BitWord(out[j], spec.n_out)).value == padded[j], (case, j)
+            for workers in (2, 3):
                 _force_workers(monkeypatch, workers)
-                shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
-                case = (n_words, tail_bits, workers)
-                assert shaped == pack_symbols(per_word, spec.n_out), case
-                assert decode_stream(lutset, shaped) == pack_symbols(decoded, spec.n_info), case
+                assert encode_stream(lutset, stream, pad=tail_bits > 0) == shaped, (case, workers)
+                assert decode_stream(lutset, shaped) == expected, (case, workers)
                 _assert_no_children()
 
 
@@ -368,6 +376,35 @@ def test_stream_without_fork(monkeypatch, deadline, full_lutset):
     monkeypatch.setattr(os, "fork", fork)
     assert encode_stream(full_lutset, stream) == shaped
     assert decode_stream(full_lutset, shaped) == stream
+    _assert_no_children()
+
+
+def test_stream_reruns_range_of_child_that_dies(monkeypatch, deadline, full_lutset):
+    # 4c + 3 words in two processes: the child runs range 1, the last three
+    # chunks. It writes its first chunk's output with every bit flipped, then
+    # dies on its second chunk; this process re-runs the range over those
+    # bytes.
+    spec = full_lutset.spec
+    c = _chunk_words(spec)
+    n_words = 4 * c + 3
+    stream = BitWord(random.Random(19).getrandbits(n_words * spec.n_info), n_words * spec.n_info)
+    _force_workers(monkeypatch, 1)
+    shaped = encode_stream(full_lutset, stream)
+    caller, encode_words = os.getpid(), codec._encode_words
+    calls = []
+
+    def dying(lutset, words):
+        out = encode_words(lutset, words)
+        if os.getpid() == caller:
+            return out
+        calls.append(words)  # calls is the child's own copy
+        if len(calls) > 1:
+            os._exit(1)
+        return out ^ ((1 << (words.width // spec.n_info * spec.n_out)) - 1)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(codec, "_encode_words", dying)
+    assert encode_stream(full_lutset, stream) == shaped
     _assert_no_children()
 
 
