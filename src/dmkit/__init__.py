@@ -15,7 +15,6 @@ from .ccdm import (
     RankOverflow,
     ccdm_decode,
     ccdm_encode,
-    composition_from_pmf,
     rank,
     unrank,
 )
@@ -37,9 +36,6 @@ from .mapping import (
     PAIR_BASE,
     SHAPED_BITS_PER_QAM,
     amplitude_pairs,
-    assemble,
-    pam_amplitudes,
-    word_to_qam,
 )
 from .maxwell import MbDistribution, entropy_bits, mb_distribution, mb_fit
 from .stats import (
@@ -110,12 +106,10 @@ __all__ = [
     "TreeSpec",
     "WidthViolation",
     "amplitude_pairs",
-    "assemble",
     "builtin_config_path",
     "ccdm_decode",
     "ccdm_encode",
     "comparison_report",
-    "composition_from_pmf",
     "decode",
     "decode_stream",
     "dump_test_vectors",
@@ -132,7 +126,6 @@ __all__ = [
     "mb_fit",
     "monte_carlo_pmf",
     "pack_symbols",
-    "pam_amplitudes",
     "parse_config",
     "rank",
     "read_bitfile",
@@ -151,6 +144,5 @@ __all__ = [
     "unpack_symbols",
     "unrank",
     "validate_tree",
-    "word_to_qam",
     "write_bitfile",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, floor
+from math import comb
 from typing import Sequence
 
 from .bits import BitWord
@@ -92,25 +92,6 @@ def check_pmf(pmf: Sequence[float]) -> None:
         raise ValueError(f"pmf has negative or NaN entries: {pmf}")
     if not abs(sum(pmf) - 1.0) <= 1e-9:
         raise ValueError(f"pmf sums to {sum(pmf)}, expected 1")
-
-
-def composition_from_pmf(class_pmf: Sequence[float], n: int) -> Composition:
-    """Quantize a class distribution to counts summing to n.
-
-    Largest-remainder rounding: floor(p*n) per class, then the remaining
-    symbols go to the largest fractional parts, ties to the lower class
-    index.
-    """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    check_pmf(class_pmf)
-    scaled = [p * n for p in class_pmf]
-    base = [floor(x) for x in scaled]
-    deficit = n - sum(base)
-    order = sorted(range(len(class_pmf)), key=lambda c: (-(scaled[c] - base[c]), c))
-    for c in order[:deficit]:
-        base[c] += 1
-    return Composition(tuple(base))
 
 
 def unrank(composition: Composition, index: int) -> tuple[int, ...]:

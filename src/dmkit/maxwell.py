@@ -51,7 +51,9 @@ def mb_fit(target_two_h: float) -> MbDistribution:
     """Solve for the distribution whose QAM entropy matches target_two_h.
 
     The solvable range is (2, 8]; the upper end is the uniform distribution
-    (lam = 0). Bisection stops when |2H(X) - target| <= 1e-9.
+    (lam = 0). Bisection stops when |2H(X) - target| <= 1e-9; a target
+    outside the range, or one not reached in _MAX_ITER steps, raises
+    ValueError.
     """
     top = mb_distribution(0.0)
     top_two_h = qam_entropy(top.p_abs)
@@ -75,4 +77,4 @@ def mb_fit(target_two_h: float) -> MbDistribution:
             lo = mid
         else:
             hi = mid
-    raise ArithmeticError(f"bisection did not reach {_TOL} in {_MAX_ITER} iterations")
+    raise ValueError(f"bisection did not reach {_TOL} in {_MAX_ITER} iterations")

@@ -54,16 +54,15 @@ class Lut:
     """One layer's table: entries[i] is the u-bit output for index i.
 
     entries are the selected subset of all u-bit words, in ascending
-    (energy, value) order; entry_energy holds the matching scores, and
-    band_energy the per-band means (one band per parent r-value; a single
-    band covering everything for the top layer).
+    (energy, value) order; band_energy holds the mean score of each band
+    of entries (one band per parent r-value; a single band covering
+    everything for the top layer).
     """
 
     layer_index: int
     in_bits: int
     out_bits: int
     entries: tuple[int, ...]
-    entry_energy: tuple[float, ...]
     band_energy: tuple[float, ...]
 
 
@@ -76,12 +75,11 @@ class LutSet:
 
     fields[i][j][e] is field j of entry e of spec.layers[i], leftmost field
     first: above the leaf, the r-bit parent value sent to child j; at the
-    leaf, class symbol j. mirror[i][w] is the index of the u-bit word w in
-    spec.layers[i]'s table, or -1 for a word the table never emits (the
-    invDM table of 2^u addresses). The codec reads four more: info_groups
-    and info_runs, where each layer's information bits sit in a word, and
-    the tables encode_slots and decode_slots, whose values are the bytes
-    the codec joins.
+    leaf, class symbol j. The codec reads four more: info_groups and
+    info_runs, where each layer's information bits sit in a word, and the
+    tables encode_slots and decode_slots, whose values are the bytes the
+    codec joins; decode_slots is the inverse (invDM) table of 2^u
+    addresses.
     """
 
     spec: TreeSpec
@@ -95,16 +93,6 @@ class LutSet:
             slots = [BitWord(x, MAX_OUT_BITS * len(lut.entries)) for x in _field_slots(lut, width)]
             columns = [split_symbols(x, MAX_OUT_BITS) for x in slots]
             out.append(tuple([tuple(column) for column in columns]))
-        return tuple(out)
-
-    @cached_property
-    def mirror(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for lut in self.luts:
-            table = [-1] * (1 << lut.out_bits)
-            for i, w in enumerate(lut.entries):
-                table[w] = i
-            out.append(tuple(table))
         return tuple(out)
 
     @cached_property
@@ -229,25 +217,18 @@ def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:
     return sums
 
 
-def _lut(layer: LayerParams, entries: tuple[int, ...], sums: Sequence[float]) -> Lut:
-    """The layer's Lut holding entries, with their scores looked up in sums."""
-    energies = tuple([sums[w] for w in entries])
-    return Lut(
-        layer_index=layer.layer_index,
-        in_bits=layer.in_bits,
-        out_bits=layer.out_bits,
-        entries=entries,
-        entry_energy=energies,
-        band_energy=_band_means(energies, layer.parent_bits),
-    )
-
-
 def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
     """Keep the 2^v cheapest u-bit words in ascending (energy, value) order."""
     sums = _field_sums(cost, layer.out_bits)
     # A stable sort of the ascending words breaks energy ties by value.
     kept = sorted(range(1 << layer.out_bits), key=sums.__getitem__)[: 1 << layer.in_bits]
-    return _lut(layer, tuple(kept), sums)
+    return Lut(
+        layer_index=layer.layer_index,
+        in_bits=layer.in_bits,
+        out_bits=layer.out_bits,
+        entries=tuple(kept),
+        band_energy=_band_means([sums[w] for w in kept], layer.parent_bits),
+    )
 
 
 def synthesize_leaf_lut(layer: LayerParams) -> Lut:

@@ -13,7 +13,6 @@ from dmkit import (
     RankOverflow,
     ccdm_decode,
     ccdm_encode,
-    composition_from_pmf,
     pack_symbols,
     rank,
     unpack_symbols,
@@ -40,32 +39,6 @@ def test_composition_block_length_bound():
     for counts in [(MAX_BLOCK_SYMBOLS, 1), (100_000_000, 100_000_000)]:
         with pytest.raises(ValueError, match="longest supported block"):
             Composition(counts)
-
-
-def test_composition_from_pmf_tie_goes_low():
-    assert composition_from_pmf([0.5, 0.5], 3).counts == (2, 1)
-
-
-def test_composition_from_pmf_published_column():
-    comp = composition_from_pmf([0.4906, 0.3250, 0.1438, 0.0406], 320)
-    assert comp.counts == FULL_COUNTS
-
-
-def test_composition_from_pmf_degenerate():
-    assert composition_from_pmf([1.0, 0.0, 0.0, 0.0], 5).counts == (5, 0, 0, 0)
-
-
-def test_composition_from_pmf_rejects_bad_input():
-    with pytest.raises(ValueError):
-        composition_from_pmf([0.7, 0.7], 4)
-    with pytest.raises(ValueError):
-        composition_from_pmf([1.2, -0.2], 4)
-    with pytest.raises(ValueError):
-        composition_from_pmf([1.0], 0)
-    # NaN fails both the sign and the sum checks instead of reaching the rounding.
-    for pmf in ([math.nan, 0.5], [math.nan, 1.0], [math.nan] * 2, [1.0, math.nan]):
-        with pytest.raises(ValueError, match="pmf"):
-            composition_from_pmf(pmf, 10)
 
 
 def test_multiset_count_small():
@@ -115,6 +88,12 @@ def test_rank_inverts_unrank():
         assert rank(unrank(comp, i)) == i
     assert rank((0, 0, 1, 1)) == 0
     assert rank((1, 1, 0, 0)) == comp.size - 1
+
+
+@pytest.mark.parametrize("sequence, message", [([], "empty"), ([-1, 0], "negative")], ids=["empty", "negative"])
+def test_rank_rejects_bad_sequences(sequence, message):
+    with pytest.raises(ValueError, match=message):
+        rank(sequence)
 
 
 def test_rank_infers_trailing_classes():

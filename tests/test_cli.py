@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
 
-from dmkit import CLASS_ENERGIES, BitWord, read_bitfile, write_bitfile
+import dmkit.cli
+from dmkit import CLASS_ENERGIES, BitWord, mb_fit, read_bitfile, write_bitfile
 from dmkit.cli import main
 from dmkit.synthesis import LUTFILE_MAGIC
 from conftest import TREE3_ROWS
@@ -136,6 +138,36 @@ def test_selftest_passes_at_the_smallest_sample(capsys):
     assert main(["selftest", "--words", "30"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def _swap_leaf_records(lutset):
+    """lutset with the leaf's decode records of entries[0] and entries[1] swapped."""
+    table = list(lutset.decode_slots[-1])
+    w0, w1 = lutset.luts[-1].entries[:2]
+    table[w0], table[w1] = table[w1], table[w0]
+    # decode_slots is a cached view, so a value in the instance shadows it.
+    lutset.__dict__["decode_slots"] = lutset.decode_slots[:-1] + (tuple(table),)
+    return lutset
+
+
+def test_selftest_fails_on_swapped_decode_records(monkeypatch, tree3_config, capsys):
+    synthesize = dmkit.cli.synthesize_tree
+    monkeypatch.setattr(dmkit.cli, "synthesize_tree", lambda spec: _swap_leaf_records(synthesize(spec)))
+    assert main(["selftest", "--config", str(tree3_config), "--words", "30"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL tables: layer 1: mirror mismatch at 0\n" in out
+    failures = re.fullmatch(r"selftest: (\d+) failure\(s\)", out.splitlines()[-1])
+    assert failures and int(failures.group(1)) >= 1
+
+
+def test_mb_fit_out_of_steps_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setattr(dmkit.maxwell, "_MAX_ITER", 0)
+    with pytest.raises(ValueError, match="bisection"):
+        mb_fit(7.169)
+    assert main(["report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: bisection") and captured.err.count("\n") == 1
 
 
 def test_bad_config_is_a_clean_error(tmp_path, capsys):

@@ -60,27 +60,32 @@ def _naive_encode(lutset, value):
     return shaped
 
 
-def _naive_decode(lutset, shaped):
-    """The information word of one shaped word, or the (layer_index, lut_index) of its first table miss.
+def _naive_decode(lutset, shaped_words):
+    """For each shaped word, its information word or the (layer_index, lut_index) of its first table miss.
 
-    Walks the mirror tables one LUT at a time, bottom-up: the leaf reads the
-    shaped word's u-bit chunks in LUT order; every other LUT reads the word
-    its t children's indices send up, their r high bits, leftmost child
-    first. A LUT's s low index bits are its information bits, which go back
-    top layer first, by LUT index. The first miss is the lowest layer's, and
-    within it the lowest LUT index's.
+    Walks the inverse of each table, built from its entries, one LUT at a
+    time, bottom-up: the leaf reads the shaped word's u-bit chunks in LUT
+    order; every other LUT reads the word its t children's indices send up,
+    their r high bits, leftmost child first. A LUT's s low index bits are
+    its information bits, which go back top layer first, by LUT index. The
+    first miss is the lowest layer's, and within it the lowest LUT index's.
     """
+    inverses = [{w: e for e, w in enumerate(lut.entries)} for lut in lutset.luts]
+    return [_naive_decode_one(lutset, inverses, shaped) for shaped in shaped_words]
+
+
+def _naive_decode_one(lutset, inverses, shaped):
     spec = lutset.spec
     u = spec.leaf.out_bits
     words = [(shaped >> (spec.n_out - (q + 1) * u)) & ((1 << u) - 1) for q in range(spec.leaf.lut_count)]
     info = [None] * spec.depth
     for i in range(spec.depth - 1, -1, -1):
-        layer, mirror = spec.layers[i], lutset.mirror[i]
+        layer, inverse = spec.layers[i], inverses[i]
         indices = []
         for q, w in enumerate(words):
-            if mirror[w] < 0:
+            if w not in inverse:
                 return layer.layer_index, q
-            indices.append(mirror[w])
+            indices.append(inverse[w])
         s = layer.info_bits
         info[i] = [e & ((1 << s) - 1) for e in indices]
         if layer.fanin:
@@ -183,7 +188,8 @@ def _bad_leaf_chunk(lutset, chunk):
     """The all-zero word's shaped word with leaf chunk `chunk` replaced by one the leaf never emits."""
     spec = lutset.spec
     u1 = spec.leaf.out_bits
-    bad_chunk = next(w for w in range(1 << u1) if lutset.mirror[-1][w] == -1)
+    emitted = set(lutset.luts[-1].entries)
+    bad_chunk = next(w for w in range(1 << u1) if w not in emitted)
     chunks = list(unpack_symbols(encode(lutset, BitWord(0, spec.n_info)), u1))
     chunks[chunk] = bad_chunk
     return pack_symbols(chunks, u1)
@@ -192,10 +198,10 @@ def _bad_leaf_chunk(lutset, chunk):
 def _bad_above_leaves(lutset):
     """Valid leaf chunks whose parent fields reassemble into a word layer 2's LUT 0 never emits."""
     spec = lutset.spec
-    mirror2 = lutset.mirror[spec.depth - 2]
+    emitted = set(lutset.luts[-2].entries)
     r1 = spec.leaf.parent_bits
     s1 = spec.leaf.info_bits
-    bad = next(w for w in range(1 << spec.layers[-2].out_bits) if mirror2[w] == -1)
+    bad = next(w for w in range(1 << spec.layers[-2].out_bits) if w not in emitted)
     r_left, r_right = bad >> r1, bad & ((1 << r1) - 1)
     leaf = lutset.luts[-1]
     chunks = [leaf.entries[r_left << s1], leaf.entries[r_right << s1]]
@@ -332,10 +338,10 @@ def test_decode_matches_naive_mirror_walk(request, monkeypatch, deadline, fixtur
     rng = random.Random(23)
     values = [rng.getrandbits(spec.n_info) for _ in range(40)]
     shaped = [_naive_encode(lutset, v) for v in values]
-    assert [_naive_decode(lutset, w) for w in shaped] == values
+    assert _naive_decode(lutset, shaped) == values
     assert [decode(lutset, BitWord(w, spec.n_out)).value for w in shaped] == values
     flipped = [w ^ (1 << rng.randrange(spec.n_out)) for w in shaped]
-    expected = [_naive_decode(lutset, w) for w in flipped]
+    expected = _naive_decode(lutset, flipped)
     for word, want in zip(flipped, expected):
         if isinstance(want, tuple):
             with pytest.raises(InvalidWord) as exc:

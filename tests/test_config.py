@@ -54,6 +54,8 @@ def test_rejects_malformed_sections(tmp_path):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": [1, 2]})
     with pytest.raises(TreeConfigError, match="composition and k"):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": {"k": 2}})
+    with pytest.raises(TreeConfigError, match="list of counts"):
+        parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": {"composition": "2,2", "k": 2}})
     with pytest.raises(TreeConfigError, match="number"):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "mb_target_2h": "high"})
     with pytest.raises(TreeConfigError, match="not valid JSON"):

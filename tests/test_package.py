@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dmkit
@@ -23,3 +26,17 @@ def test_benchmark_shims_resolve():
     assert spans.SHIMS
     missing = [(m, a) for m, a, _ in spans.SHIMS if not hasattr(importlib.import_module("dmkit." + m), a)]
     assert missing == []
+
+
+def test_imports_only_the_standard_library():
+    # dmkit has no runtime dependencies: importing it and its CLI loads no
+    # top-level module outside the standard library besides dmkit itself.
+    code = (
+        "import sys; before = set(sys.modules); import dmkit, dmkit.cli; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'dmkit'}))"
+    )
+    src = str(Path(dmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "[]\n"

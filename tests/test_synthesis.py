@@ -19,6 +19,7 @@ from dmkit import (
     unpack_symbols,
     validate_tree,
 )
+from dmkit.synthesis import DECODE_FILL
 from conftest import SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
 
 
@@ -55,6 +56,18 @@ def oracle_bands(scored, r, s):
     ]
 
 
+def scores(lut, cost):
+    """Each entry's score: cost[field] summed over its log2(len(cost))-bit fields, leftmost first."""
+    width = len(cost).bit_length() - 1
+    mask = (1 << width) - 1
+    return [sum(cost[(w >> k) & mask] for k in range(lut.out_bits - width, -1, -width)) for w in lut.entries]
+
+
+def layer_costs(lutset):
+    """The field costs each layer of lutset was ranked by: the band energies below it, class energies at the leaf."""
+    return [child.band_energy for child in lutset.luts[1:]] + [CLASS_ENERGIES]
+
+
 # --- single-layer synthesis --------------------------------------------------
 
 
@@ -62,21 +75,21 @@ def test_leaf_one_symbol():
     layer = LayerParams(layer_index=1, lut_count=1, info_bits=1, in_bits=1, out_bits=2)
     lut = synthesize_leaf_lut(layer)
     assert lut.entries == (0b00, 0b01)
-    assert lut.entry_energy == (5.0, 37.0)
+    assert scores(lut, CLASS_ENERGIES) == [5.0, 37.0]
 
 
 def test_leaf_seven_layer_table(full_lutset):
     leaf = full_lutset.luts[-1]
     assert len(leaf.entries) == 512
     assert leaf.entries[0] == 0
-    assert leaf.entry_energy[0] == 25.0  # five cheapest-class symbols
+    assert scores(leaf, CLASS_ENERGIES)[0] == 25.0  # five cheapest-class symbols
 
 
 def test_leaf_keep_all_sorted():
     layer = LayerParams(layer_index=1, lut_count=1, info_bits=4, in_bits=4, out_bits=4)
     lut = synthesize_leaf_lut(layer)
     assert sorted(lut.entries) == list(range(16))
-    assert list(lut.entry_energy) == sorted(lut.entry_energy)
+    assert scores(lut, CLASS_ENERGIES) == sorted(scores(lut, CLASS_ENERGIES))
 
 
 def test_parent_two_band_example():
@@ -87,14 +100,14 @@ def test_parent_two_band_example():
     # candidate energies: 00 -> 10, 01 -> 42, 10 -> 42, 11 -> 74; the value
     # tie-break keeps 01 over 10
     assert lut.entries == (0b00, 0b01)
-    assert lut.entry_energy == (10.0, 42.0)
+    assert scores(lut, (5.0, 37.0)) == [10.0, 42.0]
 
 
 def test_parent_keep_all():
     layer = LayerParams(layer_index=2, lut_count=1, info_bits=4, in_bits=4, out_bits=4)
     lut = synthesize_parent_lut(layer, (1.0, 10.0))
     assert sorted(lut.entries) == list(range(16))
-    assert list(lut.entry_energy) == sorted(lut.entry_energy)
+    assert scores(lut, (1.0, 10.0)) == sorted(scores(lut, (1.0, 10.0)))
 
 
 def test_parent_layer2_of_full_tree(full_lutset):
@@ -107,6 +120,22 @@ def test_parent_rejects_bad_band_table():
     layer = LayerParams(layer_index=2, lut_count=1, info_bits=2, in_bits=2, out_bits=4)
     with pytest.raises(ValueError, match="power of two"):
         synthesize_parent_lut(layer, (1.0, 2.0, 3.0))
+
+
+# validate_tree rejects these widths first, so the layers are built raw.
+@pytest.mark.parametrize(
+    "in_bits, out_bits, message", [(1, 3, "not divisible by 2"), (6, 4, "exceeds")], ids=["odd-u", "v-over-u"]
+)
+def test_leaf_rejects_bad_widths(in_bits, out_bits, message):
+    layer = LayerParams(layer_index=1, lut_count=1, info_bits=in_bits, in_bits=in_bits, out_bits=out_bits)
+    with pytest.raises(ValueError, match=message):
+        synthesize_leaf_lut(layer)
+
+
+def test_parent_rejects_u_off_the_child_field_width():
+    layer = LayerParams(layer_index=2, lut_count=1, info_bits=2, in_bits=2, out_bits=5)
+    with pytest.raises(ValueError, match="not a multiple of the child field width 2"):
+        synthesize_parent_lut(layer, (1.0, 2.0, 3.0, 4.0))
 
 
 # --- whole-tree synthesis vs the oracle --------------------------------------
@@ -129,8 +158,9 @@ def test_tree_matches_selection_oracle(rows):
 
 def scored_entries(lutset, layer_index):
     # Scores and band means must equal the oracle's to the last bit.
-    lut = lutset.luts[lutset.spec.depth - layer_index]
-    return list(zip(lut.entry_energy, lut.entries)), list(lut.band_energy)
+    i = lutset.spec.depth - layer_index
+    lut = lutset.luts[i]
+    return list(zip(scores(lut, layer_costs(lutset)[i]), lut.entries)), list(lut.band_energy)
 
 
 def test_single_layer_tree_is_one_leaf():
@@ -145,9 +175,9 @@ def test_single_layer_tree_is_one_leaf():
 
 
 def test_tables_injective_and_sorted(full_lutset):
-    for lut in full_lutset.luts:
+    for lut, cost in zip(full_lutset.luts, layer_costs(full_lutset)):
         assert len(set(lut.entries)) == len(lut.entries)
-        pairs = list(zip(lut.entry_energy, lut.entries))
+        pairs = list(zip(scores(lut, cost), lut.entries))
         assert pairs == sorted(pairs)
 
 
@@ -156,13 +186,19 @@ def test_band_energy_monotone(full_lutset):
         assert list(lut.band_energy) == sorted(lut.band_energy)
 
 
-def test_mirror_maps(full_lutset):
-    for lut, mirror in zip(full_lutset.luts, full_lutset.mirror):
-        assert len(mirror) == 1 << lut.out_bits
-        assert sum(i >= 0 for i in mirror) == len(lut.entries) == 1 << lut.in_bits
-        assert mirror.count(-1) == len(mirror) - len(lut.entries)
-        for i, w in enumerate(lut.entries):
-            assert mirror[w] == i
+def test_decode_slots_invert_entries(full_lutset):
+    # The record of entries[e]: e's r high bits in a 2-byte slot, then its s
+    # low bits as text after fill; every other word has none.
+    layers = full_lutset.spec.layers
+    width = max(layer.info_bits for layer in layers)
+    for layer, lut, records in zip(layers, full_lutset.luts, full_lutset.decode_slots):
+        s = layer.info_bits
+        assert len(records) == 1 << lut.out_bits
+        assert records.count(None) == len(records) - len(lut.entries)
+        assert len(lut.entries) == 1 << lut.in_bits
+        for e, w in enumerate(lut.entries):
+            low = format(e, "016b")[16 - s :].encode()
+            assert records[w] == (e >> s).to_bytes(2, "big") + DECODE_FILL * (width - s) + low
 
 
 def test_field_columns(full_lutset):
