@@ -8,17 +8,17 @@ end. Hex encodings are the hex digits of that byte packing.
 pack_symbols/unpack_symbols are the one split/join between a word and its
 fixed-width symbols (bits, amplitude classes, LUT entries, or the codec
 fields of a stream); split_symbols is unpack_symbols without the tuple.
-Symbols of up to 16 bits (every LUT entry, leaf output and class symbol:
-tree.MAX_OUT_BITS) go both ways bit-parallel, through 8- or 16-bit slots.
-The split takes log2(count) whole-integer steps, each moving half of
-every group of symbols up, until each symbol sits in its own slot, and
-one bytes or array conversion reads the slots out. The pack is its
-gather: one bytes or array conversion puts the symbols in slots, and the
-same steps with the same masks, bottom level first, move them back down.
-Wider symbols go one at a time. split_slots is the split without the
-read-out, the symbols left in their big-endian slots, which is the form
-the codec keeps: wide_slots widens 8-bit slots to 16 bits, and read_slots
-reads 16-bit slots as an array.
+Symbols are 1 to MAX_SYMBOL_BITS = 16 bits wide (every LUT entry, leaf
+output, information field and class symbol fits one 16-bit slot) and go
+both ways bit-parallel, through 8- or 16-bit slots. The split takes
+log2(count) whole-integer steps, each moving half of every group of
+symbols up, until each symbol sits in its own slot, and one bytes or
+array conversion reads the slots out. The pack is its gather: one bytes
+or array conversion puts the symbols in slots, and the same steps with
+the same masks, bottom level first, move them back down. split_slots is
+the split without the read-out, the symbols left in their big-endian
+slots, which is the form the codec keeps: wide_slots widens 8-bit slots
+to 16 bits, and read_slots reads 16-bit slots as an array.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Iterable, Sequence
 
 BITFILE_MAGIC = b"DMB1"
 
-# pack_symbols and split_symbols move symbols of up to this many bits through
-# 8- or 16-bit slots, at most SPREAD_BLOCK (a multiple of 8) symbols per step.
-MAX_SPREAD_BITS = 16
+# The widest symbol, one 16-bit slot: pack_symbols and split_symbols move symbols
+# through 8- or 16-bit slots, at most SPREAD_BLOCK (a multiple of 8) per step.
+MAX_SYMBOL_BITS = 16
 SPREAD_BLOCK = 1 << 11
 
 
@@ -95,20 +95,16 @@ def read_slots(data: bytes) -> array:
 def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     """Pack fixed-width symbols into a word, first symbol in the high bits.
 
-    The inverse of split_symbols, and for symbols of up to MAX_SPREAD_BITS
-    bits its mirror image: the symbols go into 8- or 16-bit slots through
-    one bytes or array conversion, and each block of SPREAD_BLOCK of them is
-    gathered by _gather. Wider symbols are joined as binary text.
+    The inverse of split_symbols and its mirror image: the symbols go into
+    8- or 16-bit slots through one bytes or array conversion, and _gather
+    packs each block of SPREAD_BLOCK of them.
     """
     width = bits_per_symbol
-    if width < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
+    if not 1 <= width <= MAX_SYMBOL_BITS:
+        raise ValueError(f"bits_per_symbol must be 1 to {MAX_SYMBOL_BITS}, got {width}")
     if not isinstance(symbols, (list, tuple)):
         symbols = list(symbols)
     count = len(symbols)
-    if width > MAX_SPREAD_BITS:
-        _check_symbols(symbols, width)
-        return BitWord(int("".join([format(s, f"0{width}b") for s in symbols]) or "0", 2), count * width)
     slot = 8 if width <= 8 else 16
     try:
         slots = bytes(symbols) if slot == 8 else array("H", symbols)
@@ -192,7 +188,7 @@ def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
 def split_slots(word: BitWord, width: int) -> bytes:
     """The width-bit symbols of word, one to a big-endian 8-bit (width <= 8) or 16-bit slot.
 
-    width is at most MAX_SPREAD_BITS and divides word.width. Blocks of
+    width is at most MAX_SYMBOL_BITS and divides word.width. Blocks of
     SPREAD_BLOCK symbols are split bit-parallel by _spread, each cut from
     whole bytes of the word (SPREAD_BLOCK is a multiple of 8).
     """
@@ -221,21 +217,15 @@ def wide_slots(slots: bytes, width: int) -> bytes:
 def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
     """The symbols of a word, as unpack_symbols gives them, in a compact sequence.
 
-    Symbols of up to 8 bits come as bytes and up to MAX_SPREAD_BITS as a
-    16-bit array: the slots of split_slots. Wider symbols (no caller in the
-    package splits them) come as a list, cut from the word's binary text,
-    the way pack_symbols joins them.
+    Symbols of up to 8 bits come as bytes and up to MAX_SYMBOL_BITS as a
+    16-bit array: the slots of split_slots.
     """
     width = bits_per_symbol
-    if width < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
+    if not 1 <= width <= MAX_SYMBOL_BITS:
+        raise ValueError(f"bits_per_symbol must be 1 to {MAX_SYMBOL_BITS}, got {width}")
     if word.width % width:
         raise ValueError(f"width {word.width} is not a multiple of {width}")
-    if width <= MAX_SPREAD_BITS:
-        slots = split_slots(word, width)
-        return slots if width <= 8 else read_slots(slots)
-    text = format(word.value, f"0{word.width}b")
-    return [int(text[k : k + width], 2) for k in range(0, word.width, width)]
+    return split_slots(word, width) if width <= 8 else read_slots(split_slots(word, width))
 
 
 def unpack_symbols(word: BitWord, bits_per_symbol: int) -> tuple[int, ...]:

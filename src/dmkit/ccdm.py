@@ -83,17 +83,6 @@ class Composition:
         return self.size.bit_length() - 1
 
 
-def check_pmf(pmf: Sequence[float]) -> None:
-    """Raise ValueError unless every entry is >= 0 and the entries sum to 1.
-
-    Both tests are written so that a NaN entry fails them.
-    """
-    if not all(p >= 0 for p in pmf):
-        raise ValueError(f"pmf has negative or NaN entries: {pmf}")
-    if not abs(sum(pmf) - 1.0) <= 1e-9:
-        raise ValueError(f"pmf sums to {sum(pmf)}, expected 1")
-
-
 def unrank(composition: Composition, index: int) -> tuple[int, ...]:
     """The index-th sequence of the composition in lexicographic order."""
     total = composition.size

@@ -15,7 +15,7 @@ One kernel pair serves single words and streams. It takes a run of words
 through the tree one layer at a time, as the LUTs of a layer work side by
 side. A layer's values are word-major, LUT q of word k at k*T + q, and
 held as big-endian 16-bit slots (an index or a LUT word has at most
-tree.MAX_OUT_BITS bits): one bytes object per run of words, read into an
+bits.MAX_SYMBOL_BITS bits): one bytes object per run of words, read into an
 array("H") for the lookups. Each LUT costs one tuple lookup; the rest is
 whole-run bytes and integer operations. encode/decode are its one-word
 case. encode_stream/decode_stream cut the stream into chunks of about

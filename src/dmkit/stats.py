@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bits import BitWord, unpack_symbols
-from .ccdm import CcdmCode, check_pmf
+from .bits import BitWord, split_symbols
+from .ccdm import CcdmCode
 from .codec import encode
 from .mapping import AMPLITUDES, CLASS_BITS, PAIR_BASE
 from .maxwell import MbDistribution, mb_fit, qam_entropy
@@ -124,7 +124,8 @@ def monte_carlo_pmf(
 
     Returns (estimate, standard error of the estimate) per class; words
     are independent, so the error is the sample stderr of the per-word
-    class fractions. Deterministic for a fixed seed.
+    class fractions, counted by bytes.count on the word's class symbols.
+    Deterministic for a fixed seed.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
@@ -135,12 +136,9 @@ def monte_carlo_pmf(
     sq_sums = [0.0] * n_classes
     for _ in range(n_words):
         word = BitWord(rng.getrandbits(spec.n_info), spec.n_info)
-        symbols = unpack_symbols(encode(lutset, word), CLASS_BITS)
-        counts = [0] * n_classes
-        for sym in symbols:
-            counts[sym] += 1
+        symbols = split_symbols(encode(lutset, word), CLASS_BITS)
         for c in range(n_classes):
-            frac = counts[c] / len(symbols)
+            frac = symbols.count(c) / len(symbols)
             sums[c] += frac
             sq_sums[c] += frac * frac
     means = [s / n_words for s in sums]
@@ -152,6 +150,17 @@ def monte_carlo_pmf(
             for c in range(n_classes)
         ]
     return tuple(means), tuple(stderr)
+
+
+def check_pmf(pmf: Sequence[float]) -> None:
+    """Raise ValueError unless every entry is >= 0 and the entries sum to 1.
+
+    Both tests are written so that a NaN entry fails them.
+    """
+    if not all(p >= 0 for p in pmf):
+        raise ValueError(f"pmf has negative or NaN entries: {pmf}")
+    if not abs(sum(pmf) - 1.0) <= 1e-9:
+        raise ValueError(f"pmf sums to {sum(pmf)}, expected 1")
 
 
 def _beta(n_info: int, n_pam: int) -> float:

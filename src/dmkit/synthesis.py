@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .bits import BitWord, pack_symbols, split_symbols
+from .bits import MAX_SYMBOL_BITS, BitWord, pack_symbols, split_symbols
 from .mapping import BITS_PER_QAM, CLASS_BITS, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
-from .tree import MAX_OUT_BITS, LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
+from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
 LUTFILE_FORMAT = 1
@@ -90,8 +90,8 @@ class LutSet:
         widths = [child.parent_bits for child in self.spec.layers[1:]] + [CLASS_BITS]
         out = []
         for lut, width in zip(self.luts, widths):
-            slots = [BitWord(x, MAX_OUT_BITS * len(lut.entries)) for x in _field_slots(lut, width)]
-            columns = [split_symbols(x, MAX_OUT_BITS) for x in slots]
+            slots = [BitWord(x, MAX_SYMBOL_BITS * len(lut.entries)) for x in _field_slots(lut, width)]
+            columns = [split_symbols(x, MAX_SYMBOL_BITS) for x in slots]
             out.append(tuple([tuple(column) for column in columns]))
         return tuple(out)
 
@@ -180,10 +180,10 @@ class LutSet:
 def _field_slots(lut: Lut, width: int) -> list[int]:
     """Each width-bit field of lut's entries, leftmost first, as one integer of 16-bit slots, entry e in slot e.
 
-    The entries are packed into MAX_OUT_BITS-bit slots once; one shift and
+    The entries are packed into MAX_SYMBOL_BITS-bit slots once; one shift and
     one mask of the whole packing leave a field of every entry in its slot.
     """
-    n, slot = len(lut.entries), MAX_OUT_BITS
+    n, slot = len(lut.entries), MAX_SYMBOL_BITS
     packed = pack_symbols(lut.entries, slot).value
     mask = int.from_bytes(((1 << width) - 1).to_bytes(slot // 8, "big") * n, "big")
     return [(packed >> shift) & mask for shift in range(lut.out_bits - width, -1, -width)]

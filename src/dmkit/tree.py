@@ -13,9 +13,9 @@ invariant and computes the derived totals (information bits in, shaped
 bits out, PAM symbols out). The modulation is fixed (see mapping): m and
 m_sb must be BITS_PER_QAM and SHAPED_BITS_PER_QAM; they stay in the
 config, the LUT-file header and the spec fingerprint. A LUT is at most
-MAX_OUT_BITS wide, which bounds every table and candidate set at 2^16
-entries, and a shaped word is at most MAX_WORD_BITS long, which bounds
-the LUT count of every layer.
+bits.MAX_SYMBOL_BITS wide, which bounds every table and candidate set at
+2^16 entries, and a shaped word is at most MAX_WORD_BITS long, which
+bounds the LUT count of every layer.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from .bits import MAX_SYMBOL_BITS
 from .mapping import BITS_PER_QAM, CLASS_BITS, SHAPED_BITS_PER_QAM
 
-MAX_OUT_BITS = 16
 MAX_WORD_BITS = 1 << 16
 
 
@@ -44,7 +44,7 @@ class CountViolation(TreeConfigError):
 
 
 class WidthViolation(TreeConfigError):
-    """A bit-width field is out of range or inconsistent (v != r + s, v > u, or u > MAX_OUT_BITS)."""
+    """A bit-width field is out of range or inconsistent (v != r + s, v > u, or u > MAX_SYMBOL_BITS)."""
 
 
 class GranularityViolation(TreeConfigError):
@@ -164,8 +164,8 @@ def validate_tree(
         s = _check_count(row["info_bits"], f"s (layer {l})")
         v = _check_count(row["in_bits"], f"v (layer {l})", 1)
         u = _check_count(row["out_bits"], f"u (layer {l})", 1)
-        if u > MAX_OUT_BITS:
-            raise WidthViolation(f"layer {l}: u={u} exceeds the widest supported LUT, u={MAX_OUT_BITS}")
+        if u > MAX_SYMBOL_BITS:
+            raise WidthViolation(f"layer {l}: u={u} exceeds the widest supported LUT, u={MAX_SYMBOL_BITS}")
         if is_top:
             if row["fanin"] is not None or row["parent_bits"] is not None:
                 raise TreeConfigError(f"top layer {l} must omit t and r")

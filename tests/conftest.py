@@ -1,6 +1,6 @@
 import pytest
 
-from dmkit import synthesize_tree, validate_tree
+from dmkit import BitWord, synthesize_tree, validate_tree
 from dmkit.cli import SELFTEST_TREES
 
 # The bundled 7-layer table (m=8, m_sb=4): 507 -> 640 bits, 320 PAM symbols.
@@ -62,6 +62,17 @@ WIDE_CHAIN_ROWS = [
 # One-LUT trees: a shaping one (v < u) and a keep-everything one (v = u).
 SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]
 KEEPALL_ROWS = [{"l": 1, "T": 1, "s": 4, "v": 4, "u": 4}]
+
+
+def join_words(words, width):
+    """Words of width bits joined into one stream, first word in the high bits."""
+    return BitWord(int("".join([format(w, f"0{width}b") for w in words]) or "0", 2), len(words) * width)
+
+
+def cut_words(stream, width):
+    """The width-bit words of a stream, first word first: the inverse of join_words."""
+    text = format(stream.value, f"0{stream.width}b")
+    return tuple(int(text[k : k + width], 2) for k in range(0, stream.width, width))
 
 
 @pytest.fixture(scope="session")

@@ -160,6 +160,21 @@ def test_selftest_fails_on_swapped_decode_records(monkeypatch, tree3_config, cap
     assert failures and int(failures.group(1)) >= 1
 
 
+def test_selftest_fails_on_a_flipped_stream_bit(monkeypatch, tree3_config, capsys):
+    # The small-tree check runs the stream path of encode and decode.
+    encode_stream = dmkit.cli.encode_stream
+
+    def flipped(lutset, bits, pad=False):
+        out = encode_stream(lutset, bits, pad)
+        return BitWord(out.value ^ 1, out.width)
+
+    monkeypatch.setattr(dmkit.cli, "encode_stream", flipped)
+    assert main(["selftest", "--config", str(tree3_config), "--words", "30"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL small-trees: two-layer: round-trip failed" in out
+    assert out.count("PASS") == 4 and out.endswith("selftest: 1 failure(s)\n")
+
+
 def test_mb_fit_out_of_steps_is_a_clean_error(monkeypatch, capsys):
     monkeypatch.setattr(dmkit.maxwell, "_MAX_ITER", 0)
     with pytest.raises(ValueError, match="bisection"):

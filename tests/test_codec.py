@@ -28,7 +28,7 @@ from dmkit import (
 from dmkit import codec
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
-from conftest import TREE3_ROWS
+from conftest import TREE3_ROWS, cut_words, join_words
 
 
 def _naive_encode(lutset, value):
@@ -130,8 +130,8 @@ def test_encode_matches_naive_field_walk(request, fixture):
     expected = [_naive_encode(lutset, v) for v in values]
     assert [encode(lutset, BitWord(v, spec.n_info)).value for v in values] == expected
     for k in range(0, len(values), 3):
-        stream = pack_symbols(values[k : k + 3], spec.n_info)
-        assert encode_stream(lutset, stream) == pack_symbols(expected[k : k + 3], spec.n_out)
+        stream = join_words(values[k : k + 3], spec.n_info)
+        assert encode_stream(lutset, stream) == join_words(expected[k : k + 3], spec.n_out)
 
 
 def test_encode_rejects_wrong_width(full_lutset):
@@ -248,13 +248,13 @@ def test_stream_is_stateless(request, lutset_name, n_words, tail_bits):
     rng = random.Random(5)
     words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
     tail = rng.getrandbits(tail_bits)
-    stream = pack_symbols(words, spec.n_info)
+    stream = join_words(words, spec.n_info)
     stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
     shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
     if tail_bits:
         words.append(tail << (spec.n_info - tail_bits))
-    assert shaped == pack_symbols([encode(lutset, BitWord(w, spec.n_info)).value for w in words], spec.n_out)
-    assert decode_stream(lutset, shaped) == pack_symbols(words, spec.n_info)
+    assert shaped == join_words([encode(lutset, BitWord(w, spec.n_info)).value for w in words], spec.n_out)
+    assert decode_stream(lutset, shaped) == join_words(words, spec.n_info)
 
 
 @pytest.fixture()
@@ -308,15 +308,15 @@ def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_na
         for tail_bits in (0, spec.n_info - 1):
             words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
             tail = rng.getrandbits(tail_bits)
-            stream = pack_symbols(words, spec.n_info)
+            stream = join_words(words, spec.n_info)
             stream = BitWord((stream.value << tail_bits) | tail, stream.width + tail_bits)
             padded = words + [tail << (spec.n_info - tail_bits)] if tail_bits else words
-            expected = pack_symbols(padded, spec.n_info)
+            expected = join_words(padded, spec.n_info)
             case = (n_words, tail_bits)
             _force_workers(monkeypatch, 1)
             shaped = encode_stream(lutset, stream, pad=tail_bits > 0)
             assert decode_stream(lutset, shaped) == expected, case
-            out = unpack_symbols(shaped, spec.n_out)
+            out = cut_words(shaped, spec.n_out)
             edges = {j for k in range(0, len(padded), c) for j in (k - 1, k)} | {len(padded) - 1}
             for j in sorted(edges - {-1}):
                 assert encode(lutset, BitWord(padded[j], spec.n_info)).value == out[j], (case, j)
@@ -359,11 +359,11 @@ def test_decode_matches_naive_mirror_walk(request, monkeypatch, deadline, fixtur
         streams = [flipped, ranged]
     for workers in (1, 3):
         _force_workers(monkeypatch, workers)
-        stream = pack_symbols([w for w, _ in valid], spec.n_out)
-        assert decode_stream(lutset, stream) == pack_symbols([want for _, want in valid], spec.n_info)
+        stream = join_words([w for w, _ in valid], spec.n_out)
+        assert decode_stream(lutset, stream) == join_words([want for _, want in valid], spec.n_info)
         for words in streams:
             with pytest.raises(InvalidWord) as exc:
-                decode_stream(lutset, pack_symbols(words, spec.n_out))
+                decode_stream(lutset, join_words(words, spec.n_out))
             assert (exc.value.layer_index, exc.value.lut_index) == invalid[0][1], workers
         _assert_no_children()
 
@@ -426,7 +426,7 @@ def test_stream_ranges_raise_first_invalid_word(monkeypatch, deadline, full_luts
     for bad, location in (({5: bad_high, 2 * c + 5: bad_leaf}, (2, 0)), ({2 * c + 5: bad_leaf}, (1, 7))):
         words = [bad.get(j, w) for j, w in enumerate(shaped)]
         with pytest.raises(InvalidWord) as exc:
-            decode_stream(full_lutset, pack_symbols(words, spec.n_out))
+            decode_stream(full_lutset, join_words(words, spec.n_out))
         assert (exc.value.layer_index, exc.value.lut_index) == location, bad
         _assert_no_children()
 
@@ -445,7 +445,7 @@ def test_stream_raises_first_invalid_word(tmp_path, capsys, full_lutset):
     with pytest.raises(InvalidWord) as exc:
         decode(full_lutset, BitWord(shaped[j + 1], spec.n_out))
     assert (exc.value.layer_index, exc.value.lut_index) == (1, 7)
-    stream = pack_symbols(shaped, spec.n_out)
+    stream = join_words(shaped, spec.n_out)
     with pytest.raises(InvalidWord) as exc:
         decode_stream(full_lutset, stream)
     assert (exc.value.layer_index, exc.value.lut_index) == (2, 0)
@@ -458,6 +458,27 @@ def test_stream_raises_first_invalid_word(tmp_path, capsys, full_lutset):
     assert captured.out == ""
     assert captured.err == "error: InvalidWord: invalid word at layer 2, lut 0\n"
     assert not out.exists()
+
+
+def test_stream_raises_chunk_miss_no_word_repeats(monkeypatch, tree3_lutset):
+    # A chunk's miss that none of its words shows when re-run on its own
+    # still ends the stream with that InvalidWord, and no output.
+    spec = tree3_lutset.spec
+    shaped = encode_stream(tree3_lutset, join_words([1, 2, 3], spec.n_info))
+    decode_words, miss, single = codec._decode_words, InvalidWord(1, 0), []
+
+    def chunk_misses(lutset, words):
+        if len(words) > spec.leaf.lut_count:
+            raise miss
+        single.append(words)
+        return decode_words(lutset, words)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(codec, "_decode_words", chunk_misses)
+    with pytest.raises(InvalidWord) as exc:
+        decode_stream(tree3_lutset, shaped)
+    assert exc.value is miss
+    assert len(single) == 3
 
 
 def test_invalid_word_survives_pickle_and_copy():
@@ -481,7 +502,7 @@ def test_stream_partial_block(tree3_lutset):
     assert padded.width == 2 * spec.n_out
     # final partial word is zero-padded at its end (MSB-first)
     tail = BitWord(1 << (spec.n_info - 1), spec.n_info)
-    assert unpack_symbols(padded, spec.n_out)[1] == encode(tree3_lutset, tail).value
+    assert cut_words(padded, spec.n_out)[1] == encode(tree3_lutset, tail).value
 
 
 def test_decode_stream_rejects_ragged(tree3_lutset):
