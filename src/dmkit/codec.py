@@ -6,10 +6,10 @@ the r bits received from its parent (high part of the index) concatenated
 with its own information bits (low part). The shaped word is the
 concatenation of the leaf outputs in LUT order.
 
-decode runs the mirror tables upward and is exact: decode(encode(w)) == w
-for every word. A shaped word that is not a codec output fails with
-InvalidWord at the first layer where a chunk or reassembled word has no
-table entry; no correction is attempted.
+decode runs the inverse (invDM) tables, LutSet.decode_slots, upward and
+is exact: decode(encode(w)) == w for every word. A shaped word that is
+not a codec output fails with InvalidWord at the first layer where a
+chunk or reassembled word has no table entry; no correction is attempted.
 
 One kernel pair serves single words and streams. It takes a run of words
 through the tree one layer at a time, as the LUTs of a layer work side by
@@ -131,14 +131,13 @@ def _info_slots(lutset: LutSet, words: BitWord) -> list[bytes]:
     text = format(words.value, f"0{words.width}b")
     out = [b""] * spec.depth
     for s, layers in lutset.info_groups:
-        if s:
-            run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
-            slots = wide_slots(split_slots(BitWord(int(run, 2), len(run)), s), s)
-            first = 0
-            for i, a, b in layers:
-                end = first + 2 * n_words * (b - a) // s
-                out[i] = slots[first:end]
-                first = end
+        run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
+        slots = wide_slots(split_slots(BitWord(int(run, 2), len(run)), s), s)
+        first = 0
+        for i, a, b in layers:
+            end = first + 2 * n_words * (b - a) // s
+            out[i] = slots[first:end]
+            first = end
     return out
 
 
@@ -165,9 +164,9 @@ def _encode_words(lutset: LutSet, words: BitWord) -> int:
 def _decode_words(lutset: LutSet, words: Sequence[int]) -> int:
     """The information words of shaped words, concatenated.
 
-    words are the shaped words' leaf outputs, word-major. The mirror tables
-    run upward one layer at a time: one lookup per LUT in
-    LutSet.decode_slots gives its record, the r-bit value its parent sent
+    words are the shaped words' leaf outputs, word-major. The inverse
+    (invDM) tables, LutSet.decode_slots, run upward one layer at a time:
+    one lookup per LUT gives its record, the r-bit value its parent sent
     and its s information bits as text. The records' r-bit values are
     merged into the parent words by whole-integer operations; the
     information bits of all records are cut out together and joined word
@@ -249,7 +248,8 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     """Recover the information word from a shaped word.
 
     Raises InvalidWord if any leaf chunk, or any word reassembled from
-    child fields on the way up, is absent from the mirror tables.
+    child fields on the way up, is absent from the inverse (invDM) tables,
+    LutSet.decode_slots.
     """
     spec = lutset.spec
     if shaped.width != spec.n_out:

@@ -25,12 +25,12 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bits import BitWord, split_symbols
+from .bits import BitWord, read_slots, split_symbols
 from .ccdm import CcdmCode
 from .codec import encode
 from .mapping import AMPLITUDES, CLASS_BITS, PAIR_BASE
 from .maxwell import MbDistribution, mb_fit, qam_entropy
-from .synthesis import LutSet
+from .synthesis import LutSet, field_slots
 
 DEFAULT_SEED = 12345
 D_MIN = 2.0
@@ -97,16 +97,18 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     followed by the child's s information bits, inherits that field's
     count. The counts are exact integers, divided once at the end.
 
-    The walk reads each layer's LutSet.fields columns: the children's
-    r-bit parent fields above the leaf, class symbols at the leaf, whose
-    field totals are the class counts.
+    The walk reads each layer's field columns (synthesis.field_slots), one
+    16-bit slot per entry: the children's r-bit parent fields above the
+    leaf, class symbols at the leaf, whose field totals are the class
+    counts.
     """
     spec = lutset.spec
     counts = [1] * (1 << spec.top.in_bits)
-    for pos, (lut, columns) in enumerate(zip(lutset.luts, lutset.fields)):
-        field_counts = [0] * (1 << (lut.out_bits // len(columns)))
-        for column in columns:
-            for n, f in zip(counts, column):
+    widths = [child.parent_bits for child in spec.layers[1:]] + [CLASS_BITS]
+    for pos, (lut, width) in enumerate(zip(lutset.luts, widths)):
+        field_counts = [0] * (1 << width)
+        for column in field_slots(lut, width):
+            for n, f in zip(counts, read_slots(column.to_bytes(2 * len(counts), "big"))):
                 field_counts[f] += n
         if pos + 1 < spec.depth:
             n_s = 1 << spec.layers[pos + 1].info_bits

@@ -21,8 +21,8 @@ All LUTs within a layer share identical contents. Synthesis is
 deterministic: identical inputs give bit-identical tables, so a table
 read back (load_lutset, lutset_from_entries) is accepted only when it
 equals the one ranked afresh from the layer below. Tables are packed
-bit-parallel (bits.pack_symbols), for the file and for the LutSet views
-fields and encode_slots.
+bit-parallel (bits.pack_symbols), for the file and for field_slots, the
+field columns that LutSet.encode_slots and stats.exact_class_pmf read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bits import MAX_SYMBOL_BITS, BitWord, pack_symbols, split_symbols
-from .mapping import BITS_PER_QAM, CLASS_BITS, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
+from .mapping import BITS_PER_QAM, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
@@ -73,48 +73,36 @@ class LutSet:
     The views are built on first use and cached; equality compares only
     spec and luts. Treat instances as immutable.
 
-    fields[i][j][e] is field j of entry e of spec.layers[i], leftmost field
-    first: above the leaf, the r-bit parent value sent to child j; at the
-    leaf, class symbol j. The codec reads four more: info_groups and
-    info_runs, where each layer's information bits sit in a word, and the
-    tables encode_slots and decode_slots, whose values are the bytes the
-    codec joins; decode_slots is the inverse (invDM) table of 2^u
-    addresses.
+    The codec reads four views: info_groups and info_runs, where each
+    layer's information bits sit in a word, and the tables encode_slots and
+    decode_slots, whose values are the bytes the codec joins; decode_slots
+    is the inverse (invDM) table of 2^u addresses.
     """
 
     spec: TreeSpec
     luts: tuple[Lut, ...]
 
     @cached_property
-    def fields(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        widths = [child.parent_bits for child in self.spec.layers[1:]] + [CLASS_BITS]
-        out = []
-        for lut, width in zip(self.luts, widths):
-            slots = [BitWord(x, MAX_SYMBOL_BITS * len(lut.entries)) for x in _field_slots(lut, width)]
-            columns = [split_symbols(x, MAX_SYMBOL_BITS) for x in slots]
-            out.append(tuple([tuple(column) for column in columns]))
-        return tuple(out)
-
-    @cached_property
     def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
         """Where encode finds each layer's information bits in a word, grouped by s.
 
-        One (s, layers) per distinct s, in order of first use top-down:
+        One (s, layers) per distinct s > 0, in order of first use top-down:
         layers holds (position in spec.layers, first bit, end bit) of the
         T*s bits of a word that each layer with s information bits per LUT
-        takes.
+        takes. A layer without information bits is in no group.
         """
         groups: dict[int, list[tuple[int, int, int]]] = {}
         end = 0
         for i, layer in enumerate(self.spec.layers):
             start, end = end, end + layer.lut_count * layer.info_bits
-            groups.setdefault(layer.info_bits, []).append((i, start, end))
+            if layer.info_bits:
+                groups.setdefault(layer.info_bits, []).append((i, start, end))
         return tuple([(s, tuple(layers)) for s, layers in groups.items()])
 
     @cached_property
     def info_runs(self) -> tuple[tuple[int, int], ...]:
         """Where decode puts each layer's information bits: (first bit, bit count) in a word, top first, for every layer with s > 0."""
-        return tuple(sorted([(a, b - a) for s, layers in self.info_groups if s for _, a, b in layers]))
+        return tuple(sorted([(a, b - a) for _, layers in self.info_groups for _, a, b in layers]))
 
     @cached_property
     def encode_slots(self) -> tuple[tuple[bytes | str, ...], ...]:
@@ -130,7 +118,7 @@ class LutSet:
         for child, lut in zip(layers[1:], self.luts):
             n, t = len(lut.entries), child.fanin
             slots = bytearray(2 * t * n)
-            for j, x in enumerate(_field_slots(lut, child.parent_bits)):
+            for j, x in enumerate(field_slots(lut, child.parent_bits)):
                 # A field below 2^r shifted by s stays below 2^v <= 2^16: within its slot.
                 x = (x << child.info_bits).to_bytes(2 * n, "big")
                 slots[2 * j :: 2 * t] = x[0::2]
@@ -153,23 +141,15 @@ class LutSet:
         with the same r and s share one bytes object per record.
         """
         width = max(layer.info_bits for layer in self.spec.layers)
-        size = 2 + width
-        records: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        records: dict[tuple[int, int], list[bytes]] = {}
         out = []
         for layer, lut in zip(self.spec.layers, self.luts):
             s, r = layer.info_bits, layer.in_bits - layer.info_bits
             if (r, s) not in records:
                 # Record e: e >> s as two bytes, then the text of e's low s bits.
-                n = 1 << (r + s)
-                high = b"".join([k.to_bytes(2, "big") * (1 << s) for k in range(1 << r)])
-                low = [format(x, f"0{s}b").encode() for x in range(1 << s)] if s else [b""]
-                text = b"".join([DECODE_FILL * (width - s) + bits for bits in low])
-                data = bytearray(n * size)
-                data[0::size] = high[0::2]
-                data[1::size] = high[1::2]
-                for k in range(width):
-                    data[2 + k :: size] = text[k::width] * (1 << r)
-                records[r, s] = _cut(data, size)
+                fill = DECODE_FILL * (width - s)
+                low = [fill + format(x, f"0{s}b").encode() for x in range(1 << s)] if s else [fill]
+                records[r, s] = [k.to_bytes(2, "big") + text for k in range(1 << r) for text in low]
             table: list[bytes | None] = [None] * (1 << lut.out_bits)
             for w, record in zip(lut.entries, records[r, s]):
                 table[w] = record
@@ -177,11 +157,13 @@ class LutSet:
         return tuple(out)
 
 
-def _field_slots(lut: Lut, width: int) -> list[int]:
+def field_slots(lut: Lut, width: int) -> list[int]:
     """Each width-bit field of lut's entries, leftmost first, as one integer of 16-bit slots, entry e in slot e.
 
-    The entries are packed into MAX_SYMBOL_BITS-bit slots once; one shift and
-    one mask of the whole packing leave a field of every entry in its slot.
+    Above the leaf, field j is the r-bit parent value sent to child j; at
+    the leaf, with width 2, class symbol j. The entries are packed into
+    MAX_SYMBOL_BITS-bit slots once; one shift and one mask of the whole
+    packing leave a field of every entry in its slot.
     """
     n, slot = len(lut.entries), MAX_SYMBOL_BITS
     packed = pack_symbols(lut.entries, slot).value
@@ -323,8 +305,9 @@ def _check_header(header: object) -> None:
     """
     if not isinstance(header, dict):
         raise LutFormatError(f"header is a {type(header).__name__}, not an object")
-    if header.get("format") != LUTFILE_FORMAT:
-        raise LutFormatError(f"unsupported format {header.get('format')!r}")
+    # JSON true and 1.0 equal 1 in Python; only the integer is the format number.
+    if type(header.get("format")) is not int or header["format"] != LUTFILE_FORMAT:
+        raise LutFormatError(f"unsupported header format {header.get('format')!r}")
     for key, kind in _HEADER_TYPES.items():
         if not isinstance(header.get(key), kind):
             raise LutFormatError(f"header key {key!r} is missing or not a {kind.__name__}")

@@ -237,7 +237,8 @@ def lut_size_report(spec: TreeSpec) -> dict[str, int]:
     """Accumulated table sizes in bits.
 
     dm_bits counts the forward tables (T * 2^v entries of u bits per layer),
-    invdm_bits the mirror tables (T * 2^u addresses of v bits per layer).
+    invdm_bits the inverse (invDM) tables, LutSet.decode_slots (T * 2^u
+    addresses of v bits per layer).
     """
     dm_bits = sum(l.lut_count * (1 << l.in_bits) * l.out_bits for l in spec.layers)
     invdm_bits = sum(l.lut_count * (1 << l.out_bits) * l.in_bits for l in spec.layers)

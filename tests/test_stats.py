@@ -53,7 +53,20 @@ def test_exact_pmf_uniform_for_keep_all_table(keepall_lutset):
     assert pmf == (0.25, 0.25, 0.25, 0.25)
 
 
-@pytest.mark.parametrize("fixture", ["tree2_lutset", "tree3_lutset"])
+# chain has an s = 0 layer, single and keepall one layer, split_s mixed s,
+# and wide_chain a 9-bit parent field.
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "tree2_lutset",
+        "tree3_lutset",
+        "chain_lutset",
+        "single_lutset",
+        "keepall_lutset",
+        "split_s_lutset",
+        "wide_chain_lutset",
+    ],
+)
 def test_exact_pmf_matches_codebook_average(fixture, request):
     lutset = request.getfixturevalue(fixture)
     dp = exact_class_pmf(lutset)

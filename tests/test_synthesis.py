@@ -19,7 +19,8 @@ from dmkit import (
     unpack_symbols,
     validate_tree,
 )
-from dmkit.synthesis import DECODE_FILL
+from dmkit.bits import read_slots
+from dmkit.synthesis import DECODE_FILL, field_slots
 from conftest import SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
 
 
@@ -202,9 +203,12 @@ def test_decode_slots_invert_entries(full_lutset):
 
 
 def test_field_columns(full_lutset):
+    # Column j holds field j of entry e in 16-bit slot e.
     spec = full_lutset.spec
     widths = [child.parent_bits for child in spec.layers[1:]] + [CLASS_BITS]
-    for lut, columns, width in zip(full_lutset.luts, full_lutset.fields, widths):
+    for lut, width in zip(full_lutset.luts, widths):
+        n = len(lut.entries)
+        columns = [read_slots(x.to_bytes(2 * n, "big")) for x in field_slots(lut, width)]
         assert len(columns) == lut.out_bits // width
         for e, w in enumerate(lut.entries):
             assert tuple(column[e] for column in columns) == unpack_symbols(BitWord(w, lut.out_bits), width)
@@ -312,6 +316,9 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
         {**header, "class_energy": 3},
         {**header, "class_energy": [5.0, 37.0, 101.0, 19710.0]},
         {**header, "class_energy": [5.0, 37.0, 101.0]},
+        # Format numbers that equal 1 in Python but are not the integer 1.
+        {**header, "format": True},
+        {**header, "format": 1.0},
     ]
     edited = tmp_path / "header.lut"
     for doc in edits:
