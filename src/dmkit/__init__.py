@@ -56,7 +56,6 @@ from .synthesis import (
     LutFormatError,
     LutSet,
     load_lutset,
-    lutset_from_entries,
     save_lutset,
     synthesize_leaf_lut,
     synthesize_parent_lut,
@@ -121,7 +120,6 @@ __all__ = [
     "load_lutset",
     "load_test_vectors",
     "lut_size_report",
-    "lutset_from_entries",
     "mb_distribution",
     "mb_fit",
     "monte_carlo_pmf",

@@ -1,7 +1,7 @@
 """Configuration files tying a layer table to its companion codes.
 
 A config is a JSON object with the tree description (m, m_sb, layers) and
-two optional sections: "ccdm" (composition counts and input width k for
+two optional sections: "ccdm" (four class counts and input width k for
 the constant-composition baseline) and "mb_target_2h" (entropy target for
 the Maxwell-Boltzmann reference). Unknown fields anywhere are rejected.
 The bundled default describes the 7-layer 256-QAM setup with a word
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .ccdm import CcdmCode, Composition
+from .mapping import CLASS_BITS
 from .tree import TreeConfigError, TreeSpec, validate_tree
 
 BUILTIN_CONFIG_NAME = "hidm7_256qam_320.json"
@@ -67,6 +68,8 @@ def parse_config(doc: Mapping[str, Any]) -> ToolkitConfig:
             ccdm_code = CcdmCode(Composition(tuple(counts)), section["k"])
         except ValueError as exc:
             raise TreeConfigError(f"bad ccdm section: {exc}") from exc
+        if len(counts) != 1 << CLASS_BITS:
+            raise TreeConfigError(f"ccdm composition has {len(counts)} counts, not one per amplitude class ({1 << CLASS_BITS})")
 
     mb_target = None
     if "mb_target_2h" in doc:

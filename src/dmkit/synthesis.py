@@ -18,10 +18,10 @@ field values thus steer every subtree toward low-energy bands, which is
 what shapes the output distribution.
 
 All LUTs within a layer share identical contents. Synthesis is
-deterministic: identical inputs give bit-identical tables, so a table
-read back (load_lutset, lutset_from_entries) is accepted only when it
-equals the one ranked afresh from the layer below. Tables are packed
-bit-parallel (bits.pack_symbols), for the file and for field_slots, the
+deterministic: identical inputs give bit-identical tables, so a file
+read back (load_lutset) is accepted only when each layer's bytes equal
+the packing of the table ranked afresh from the layer below. Tables are
+packed bit-parallel (bits.pack_symbols), for the file and for field_slots, the
 field columns that LutSet.encode_slots and stats.exact_class_pmf read.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .bits import MAX_SYMBOL_BITS, BitWord, pack_symbols, split_symbols
+from .bits import MAX_SYMBOL_BITS, pack_symbols
 from .mapping import BITS_PER_QAM, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
@@ -256,16 +256,6 @@ def _pack_words_le(words: Sequence[int], width: int) -> bytes:
     return pack_symbols(words[::-1], width).value.to_bytes((len(words) * width + 7) // 8, "little")
 
 
-def _unpack_words_le(data: bytes, width: int, count: int) -> Sequence[int]:
-    """Inverse of _pack_words_le, as bytes or a 16-bit array; the padding bits must be zero."""
-    if len(data) != (count * width + 7) // 8:
-        raise LutFormatError(f"layer blob has {len(data)} bytes, expected {(count * width + 7) // 8}")
-    value = int.from_bytes(data, "little")
-    if value >> (count * width):
-        raise LutFormatError("nonzero padding bits in layer blob")
-    return split_symbols(BitWord(value, count * width), width)[::-1]
-
-
 def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
     """Serialize to the versioned binary format.
 
@@ -316,10 +306,11 @@ def _check_header(header: object) -> None:
 
 
 def load_lutset(path: str | os.PathLike) -> LutSet:
-    """Read the binary format, rebuild derived data, and validate.
+    """Read the binary format and accept only the synthesized tables.
 
-    Energies are recomputed from CLASS_ENERGIES (they are not stored);
-    lutset_from_entries then accepts only the synthesized tables.
+    Energies are not stored. Each layer is ranked afresh, bottom-up from
+    CLASS_ENERGIES, and its blob must equal save_lutset's packing of it:
+    that packing is injective and pads with zeros, so no other blob loads.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -334,54 +325,30 @@ def load_lutset(path: str | os.PathLike) -> LutSet:
         spec = validate_tree(header["layers"], header["m"], header["m_sb"])
         if spec_fingerprint(spec) != header["spec_sha256"]:
             raise LutFormatError("spec fingerprint mismatch")
-        entries_per_layer = []
-        for layer in spec.layers:
+        luts = [_ranked_lut(spec.leaf, CLASS_ENERGIES)]
+        for layer in reversed(spec.layers[:-1]):
+            luts.append(_ranked_lut(layer, luts[-1].band_energy))
+        for lut in reversed(luts):
             nbytes = int.from_bytes(f.read(4), "little")
             data = f.read(nbytes)
             if len(data) != nbytes:
                 raise LutFormatError(f"file ends inside a layer blob of {nbytes} bytes")
-            entries_per_layer.append(_unpack_words_le(data, layer.out_bits, 1 << layer.in_bits))
+            _check_blob(data, lut)
         if f.read(1):
             raise LutFormatError("trailing bytes after last layer")
-    return lutset_from_entries(spec, entries_per_layer)
-
-
-def lutset_from_entries(spec: TreeSpec, entries_per_layer: Sequence[Sequence[int]]) -> LutSet:
-    """Assemble a LutSet from explicit per-layer entries (top-down order).
-
-    Accepts only the synthesized tables: bottom-up, each layer's entries
-    must equal the table _ranked_lut builds from the costs of the layer
-    below. Entries that differ are checked further only to name the fault:
-    their count, their range, strictly ascending (energy, value) order, and
-    otherwise, as the 2^v cheapest words in that order are the one table in
-    it, that they are not those words.
-    """
-    if len(entries_per_layer) != spec.depth:
-        raise LutFormatError(f"expected {spec.depth} layers of entries, got {len(entries_per_layer)}")
-    cost: Sequence[float] = CLASS_ENERGIES
-    luts: list[Lut] = []
-    for layer in reversed(spec.layers):
-        entries = tuple(entries_per_layer[spec.depth - layer.layer_index])
-        lut = _ranked_lut(layer, cost)
-        if entries != lut.entries:
-            raise LutFormatError(f"layer {layer.layer_index}: {_entry_fault(layer, entries, cost)}")
-        luts.append(lut)
-        cost = lut.band_energy
     return LutSet(spec=spec, luts=tuple(reversed(luts)))
 
 
-def _entry_fault(layer: LayerParams, entries: tuple[int, ...], cost: Sequence[float]) -> str:
-    """Why entries are not the layer's synthesized table: the first check they fail."""
-    if len(entries) != 1 << layer.in_bits:
-        return f"expected {1 << layer.in_bits} entries"
-    limit = 1 << layer.out_bits
-    for w in entries:
-        if not 0 <= w < limit:
-            return f"entry {w} wider than u={layer.out_bits}"
-    sums = _field_sums(cost, layer.out_bits)
-    energies = [sums[w] for w in entries]
-    # The costs are finite, so a duplicate entry ties with its neighbour.
-    for i in range(1, len(entries)):
-        if (energies[i], entries[i]) <= (energies[i - 1], entries[i - 1]):
-            return f"duplicate or out-of-order entry at {i}, not in strictly ascending (energy, value) order"
-    return f"entries are not the {len(entries)} cheapest words"
+def _check_blob(data: bytes, lut: Lut) -> None:
+    """Raise LutFormatError, naming the layer and the first fault, unless data is lut's packing."""
+    packed = _pack_words_le(lut.entries, lut.out_bits)
+    if data == packed:
+        return
+    if len(data) != len(packed):
+        fault = f"blob has {len(data)} bytes, expected {len(packed)}"
+    else:
+        # Stream bit k is a bit of entry k // u: the lowest differing bit names the first differing entry.
+        diff = int.from_bytes(data, "little") ^ int.from_bytes(packed, "little")
+        entry = ((diff & -diff).bit_length() - 1) // lut.out_bits
+        fault = f"entry {entry} is not the synthesized table's" if entry < len(lut.entries) else "nonzero padding bits"
+    raise LutFormatError(f"layer {lut.layer_index}: {fault}")

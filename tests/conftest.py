@@ -64,6 +64,23 @@ SINGLE_ROWS = [{"l": 1, "T": 1, "s": 2, "v": 2, "u": 4}]
 KEEPALL_ROWS = [{"l": 1, "T": 1, "s": 4, "v": 4, "u": 4}]
 
 
+# The fixtures below, one per tree: the bundled one, the selftest pair and
+# the boundary trees above.
+ALL_TREES = [
+    "full_lutset",
+    "tree2_lutset",
+    "tree3_lutset",
+    "chain_lutset",
+    "split_s_lutset",
+    "single_lutset",
+    "keepall_lutset",
+    "fanin4_lutset",
+    "fanin3_lutset",
+    "full16_lutset",
+    "wide_chain_lutset",
+]
+
+
 def join_words(words, width):
     """Words of width bits joined into one stream, first word in the high bits."""
     return BitWord(int("".join([format(w, f"0{width}b") for w in words]) or "0", 2), len(words) * width)

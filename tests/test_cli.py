@@ -233,6 +233,21 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_flipped_leaf_byte_is_a_clean_error(tmp_path, capsys):
+    lut = tmp_path / "bundled.lut"
+    assert main(["synthesize", "--out", str(lut)]) == 0
+    raw = bytearray(lut.read_bytes())
+    raw[-1] ^= 0xFF  # the leaf blob is the file's last
+    lut.write_bytes(bytes(raw))
+    src = tmp_path / "in.bits"
+    write_bitfile(src, BitWord(0, 507))
+    capsys.readouterr()
+    assert main(["encode", str(lut), str(src), "--out", str(tmp_path / "out.bits")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: LutFormatError: layer 1: entry") and captured.err.count("\n") == 1
+
+
 # sha256 of each command's stdout on the bundled config, and of the .lut
 # file that synthesize writes for it. The report digest equals
 # bench/golden.json's report_text.

@@ -28,7 +28,7 @@ from dmkit import (
 from dmkit import codec
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
-from conftest import TREE3_ROWS, cut_words, join_words
+from conftest import ALL_TREES, TREE3_ROWS, cut_words, join_words
 
 
 def _naive_encode(lutset, value):
@@ -101,21 +101,6 @@ def _naive_decode_one(lutset, inverses, shaped):
         for x in fields:
             value = (value << layer.info_bits) | x
     return value
-
-
-ALL_TREES = [
-    "full_lutset",
-    "tree2_lutset",
-    "tree3_lutset",
-    "chain_lutset",
-    "split_s_lutset",
-    "single_lutset",
-    "keepall_lutset",
-    "fanin4_lutset",
-    "fanin3_lutset",
-    "full16_lutset",
-    "wide_chain_lutset",
-]
 
 
 @pytest.mark.parametrize("fixture", ALL_TREES)

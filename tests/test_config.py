@@ -72,3 +72,12 @@ def test_rejects_over_capacity_code(tmp_path):
     doc = {"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": {"composition": [2, 2], "k": 3}}
     with pytest.raises(TreeConfigError, match="bad ccdm section"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("counts, k", [([2, 2], 2), ([1] * 8, 15)], ids=["2-counts", "8-counts"])
+def test_rejects_composition_not_of_four_classes(counts, k):
+    # Both codes build: the 8-count one once loaded and reported a CCDM
+    # column that read its counts as a magnitude pmf.
+    doc = {"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": {"composition": counts, "k": k}}
+    with pytest.raises(TreeConfigError, match=f"composition has {len(counts)} counts, not one per amplitude class"):
+        parse_config(doc)

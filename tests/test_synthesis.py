@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -21,7 +22,7 @@ from dmkit import (
 )
 from dmkit.bits import read_slots
 from dmkit.synthesis import DECODE_FILL, field_slots
-from conftest import SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
+from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
 
 
 # --- independent selection oracle ------------------------------------------
@@ -223,63 +224,59 @@ def test_synthesis_deterministic(full_spec, full_lutset):
 # --- serialization -------------------------------------------------------------
 
 
-def test_save_load_roundtrip(tmp_path, full_lutset):
-    path = tmp_path / "full.lut"
-    save_lutset(full_lutset, path)
-    assert load_lutset(path) == full_lutset
-    # byte-identical on re-save
-    again = tmp_path / "again.lut"
-    save_lutset(full_lutset, again)
-    assert path.read_bytes() == again.read_bytes()
+def test_save_load_roundtrip(tmp_path, request):
+    # Every fixture tree, one after another: fanin 1, 3 and 4, s = 0 layers,
+    # a 9-bit parent field, 16-bit tables and one-LUT trees.
+    for name in ALL_TREES:
+        lutset = request.getfixturevalue(name)
+        path = tmp_path / f"{name}.lut"
+        save_lutset(lutset, path)
+        loaded = load_lutset(path)
+        assert loaded == lutset, name
+        # byte-identical on re-save
+        again = tmp_path / "again.lut"
+        save_lutset(loaded, again)
+        assert path.read_bytes() == again.read_bytes(), name
 
 
-def test_entries_out_of_order_rejected(tree2_lutset):
-    from dmkit import lutset_from_entries
-
-    rows = [list(lut.entries) for lut in tree2_lutset.luts]
-    rows[-1][0], rows[-1][1] = rows[-1][1], rows[-1][0]
-    with pytest.raises(LutFormatError, match="order"):
-        lutset_from_entries(tree2_lutset.spec, rows)
-
-
-def test_duplicate_entries_rejected(tree2_lutset):
-    from dmkit import lutset_from_entries
-
-    rows = [list(lut.entries) for lut in tree2_lutset.luts]
-    rows[-1][1] = rows[-1][0]
-    with pytest.raises(LutFormatError, match="duplicate"):
-        lutset_from_entries(tree2_lutset.spec, rows)
-
-
-@pytest.mark.parametrize("layer", [0, -1])
-@pytest.mark.parametrize("entry", [16, -1])
-def test_entry_wider_than_u_rejected(tree2_lutset, layer, entry):
-    from dmkit import lutset_from_entries
-
-    rows = [list(lut.entries) for lut in tree2_lutset.luts]
-    rows[layer][-1] = entry  # both layers have u = 4
-    with pytest.raises(LutFormatError, match="wider"):
-        lutset_from_entries(tree2_lutset.spec, rows)
-
-
-@pytest.mark.parametrize("layer", [0, -1])
-def test_entries_not_the_cheapest_rejected(tree2_lutset, layer):
-    from dmkit import lutset_from_entries
-
-    # The last kept word swapped for the first word the ranking left out:
-    # still strictly ascending in (energy, value), but not the cheapest words.
-    lut = tree2_lutset.luts[layer]
+def first_left_out(lutset, layer):
+    """The first word the ranking of lutset.luts[layer] left out, by the selection oracle."""
+    lut = lutset.luts[layer]
     if layer == -1:
         ranked = oracle_leaf(lut.out_bits, lut.out_bits, CLASS_ENERGIES)
     else:
-        bands = tree2_lutset.luts[layer + 1].band_energy
+        bands = lutset.luts[layer + 1].band_energy
         ranked = oracle_parent(lut.out_bits, lut.out_bits, len(bands).bit_length() - 1, bands)
     kept = len(lut.entries)
     assert [w for _, w in ranked[:kept]] == list(lut.entries)
-    rows = [list(lut.entries) for lut in tree2_lutset.luts]
-    rows[layer][-1] = ranked[kept][1]
-    with pytest.raises(LutFormatError, match=f"not the {kept} cheapest words"):
-        lutset_from_entries(tree2_lutset.spec, rows)
+    return ranked[kept][1]
+
+
+@pytest.mark.parametrize("layer", [0, -1], ids=["top", "leaf"])
+@pytest.mark.parametrize("edit", ["swapped", "duplicate", "not-cheapest"])
+def test_load_names_the_first_entry_off_the_table(tmp_path, tree2_lutset, edit, layer):
+    # A file holding a table other than the synthesized one, written by
+    # save_lutset, fails to load and names the layer and the first entry
+    # that differs. An entry wider than u cannot be written: save_lutset
+    # refuses it.
+    lut = tree2_lutset.luts[layer]
+    entries = list(lut.entries)
+    if edit == "swapped":
+        entries[0], entries[1] = entries[1], entries[0]
+        first = 0
+    elif edit == "duplicate":
+        entries[1] = entries[0]
+        first = 1
+    else:
+        # Still strictly ascending in (energy, value), but not the cheapest words.
+        entries[-1] = first_left_out(tree2_lutset, layer)
+        first = len(entries) - 1
+    luts = list(tree2_lutset.luts)
+    luts[layer] = dataclasses.replace(lut, entries=tuple(entries))
+    path = tmp_path / "edited.lut"
+    save_lutset(dataclasses.replace(tree2_lutset, luts=tuple(luts)), path)
+    with pytest.raises(LutFormatError, match=f"^layer {lut.layer_index}: entry {first} is not the synthesized table's$"):
+        load_lutset(path)
 
 
 def test_load_rejects_corruption(tmp_path, tree2_lutset):
@@ -327,6 +324,14 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
         with pytest.raises(LutFormatError, match="header"):
             load_lutset(edited)
 
+    # The leaf blob one byte longer, its byte count raised to match.
+    leaf = len(raw) - (len(tree2_lutset.luts[-1].entries) * 4 + 7) // 8
+    longer = tmp_path / "longer.lut"
+    size = int.from_bytes(raw[leaf - 4 : leaf], "little")
+    longer.write_bytes(bytes(raw[: leaf - 4]) + (size + 1).to_bytes(4, "little") + bytes(raw[leaf:]) + b"\x00")
+    with pytest.raises(LutFormatError, match=f"^layer 1: blob has {size + 1} bytes, expected {size}$"):
+        load_lutset(longer)
+
     # Two entries of u = 2 bits per layer leave four padding bits in each blob.
     padded_rows = [{"l": 2, "T": 1, "s": 1, "v": 1, "u": 2}, {"l": 1, "t": 2, "r": 1, "s": 0, "v": 1, "u": 2}]
     save_lutset(synthesize_tree(validate_tree(padded_rows, 8, 4)), path)
@@ -335,7 +340,7 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     raw[-1] |= 0x80
     padding = tmp_path / "padding.lut"
     padding.write_bytes(bytes(raw))
-    with pytest.raises(LutFormatError, match="padding"):
+    with pytest.raises(LutFormatError, match="^layer 1: nonzero padding bits$"):
         load_lutset(padding)
 
 
