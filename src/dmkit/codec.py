@@ -414,18 +414,20 @@ def load_test_vectors(src: str | os.PathLike | TextIO) -> list[tuple[BitWord, Bi
     f: TextIO = open(src) if own else src  # type: ignore[arg-type]
     try:
         head = f.readline().split()
-        if len(head) != 4 or head[0] != VECTOR_FILE_TAG or head[1] != "1":
+        widths = [int(w) for w in head[2:] if w.isdecimal()]
+        if len(head) != 4 or head[0] != VECTOR_FILE_TAG or head[1] != "1" or len(widths) != 2 or 0 in widths:
             raise ValueError(f"not a test-vector file: header {head!r}")
-        n_info, n_out = int(head[2]), int(head[3])
         pairs = []
         for line_no, line in enumerate(f, start=2):
-            if not line.strip():
+            fields = line.split()
+            if not fields:
                 continue
+            if len(fields) != 2:
+                raise ValueError(f"line {line_no}: expected two hex fields")
             try:
-                info_hex, shaped_hex = line.split()
+                pairs.append(tuple([BitWord.from_hex(text, w) for text, w in zip(fields, widths)]))
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: expected two hex fields") from exc
-            pairs.append((BitWord.from_hex(info_hex, n_info), BitWord.from_hex(shaped_hex, n_out)))
+                raise ValueError(f"line {line_no}: {exc}") from exc
         return pairs
     finally:
         if own:

@@ -27,12 +27,13 @@ from typing import Mapping, Sequence
 
 from .bits import BitWord, read_slots, split_symbols
 from .ccdm import CcdmCode
-from .codec import encode
+from .codec import encode_stream
 from .mapping import AMPLITUDES, CLASS_BITS, PAIR_BASE
 from .maxwell import MbDistribution, mb_fit, qam_entropy
 from .synthesis import LutSet, field_slots
 
 DEFAULT_SEED = 12345
+_MC_BATCH_WORDS = 1 << 13
 D_MIN = 2.0
 
 # Published statistics of the bundled 7-layer 256-QAM configuration with a
@@ -126,23 +127,26 @@ def monte_carlo_pmf(
 
     Returns (estimate, standard error of the estimate) per class; words
     are independent, so the error is the sample stderr of the per-word
-    class fractions, counted by bytes.count on the word's class symbols.
-    Deterministic for a fixed seed.
+    class fractions, counted by bytes.count on each word's slice of the
+    class symbols. The words go through encode_stream, _MC_BATCH_WORDS a
+    call, so memory stays bounded. Deterministic for a fixed seed.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    spec = lutset.spec
+    n_info, n_pam = lutset.spec.n_info, lutset.spec.n_pam
     rng = random.Random(seed)
     n_classes = 1 << CLASS_BITS
     sums = [0.0] * n_classes
     sq_sums = [0.0] * n_classes
-    for _ in range(n_words):
-        word = BitWord(rng.getrandbits(spec.n_info), spec.n_info)
-        symbols = split_symbols(encode(lutset, word), CLASS_BITS)
-        for c in range(n_classes):
-            frac = symbols.count(c) / len(symbols)
-            sums[c] += frac
-            sq_sums[c] += frac * frac
+    for first in range(0, n_words, _MC_BATCH_WORDS):
+        batch = min(_MC_BATCH_WORDS, n_words - first)
+        text = "".join([format(rng.getrandbits(n_info), f"0{n_info}b") for _ in range(batch)])
+        symbols = split_symbols(encode_stream(lutset, BitWord(int(text, 2), batch * n_info)), CLASS_BITS)
+        for k in range(batch):
+            for c in range(n_classes):
+                frac = symbols.count(c, k * n_pam, (k + 1) * n_pam) / n_pam
+                sums[c] += frac
+                sq_sums[c] += frac * frac
     means = [s / n_words for s in sums]
     if n_words == 1:
         stderr = [0.0] * n_classes

@@ -19,10 +19,10 @@ what shapes the output distribution.
 
 All LUTs within a layer share identical contents. Synthesis is
 deterministic: identical inputs give bit-identical tables, so a file
-read back (load_lutset) is accepted only when each layer's bytes equal
-the packing of the table ranked afresh from the layer below. Tables are
-packed bit-parallel (bits.pack_symbols), for the file and for field_slots, the
-field columns that LutSet.encode_slots and stats.exact_class_pmf read.
+loads only if it is byte for byte what save_lutset writes for its
+header's layer rows. Tables are packed bit-parallel (bits.pack_symbols),
+for the file and for field_slots, the field columns that
+LutSet.encode_slots and stats.exact_class_pmf read.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .bits import MAX_SYMBOL_BITS, pack_symbols
 from .mapping import BITS_PER_QAM, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
-LUTFILE_FORMAT = 1
 
 # Pads the information bits of a LutSet.decode_slots record; never a binary digit.
 DECODE_FILL = b" "
@@ -256,94 +255,88 @@ def _pack_words_le(words: Sequence[int], width: int) -> bytes:
     return pack_symbols(words[::-1], width).value.to_bytes((len(words) * width + 7) // 8, "little")
 
 
-def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
-    """Serialize to the versioned binary format.
+def _file_blocks(lutset: LutSet) -> list[bytes]:
+    """The one definition of a LUT file: the blocks that follow its magic.
 
-    Layout: magic, 4-byte LE header length, JSON header (format version,
-    modulation widths, layer rows, class energies, spec fingerprint), then
-    per layer top-down a 4-byte LE byte count followed by the 2^v entries
-    packed as little-endian u-bit words.
+    First the header, the canonical JSON of the format version, modulation
+    widths, layer rows, class energies and spec fingerprint; then per
+    layer, top-down, the 2^v entries packed as little-endian u-bit words.
     """
-    spec = lutset.spec
     header = {
-        "format": LUTFILE_FORMAT,
+        "format": 1,
         "m": BITS_PER_QAM,
         "m_sb": SHAPED_BITS_PER_QAM,
-        "layers": spec_to_mappings(spec),
+        "layers": spec_to_mappings(lutset.spec),
         "class_energy": list(CLASS_ENERGIES),
-        "spec_sha256": spec_fingerprint(spec),
+        "spec_sha256": spec_fingerprint(lutset.spec),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return [head] + [_pack_words_le(lut.entries, lut.out_bits) for lut in lutset.luts]
+
+
+def save_lutset(lutset: LutSet, path: str | os.PathLike) -> None:
+    """Write the magic, then each of _file_blocks after its 4-byte LE byte count."""
     with open(path, "wb") as f:
         f.write(LUTFILE_MAGIC)
-        f.write(len(blob).to_bytes(4, "little"))
-        f.write(blob)
-        for lut in lutset.luts:
-            packed = _pack_words_le(lut.entries, lut.out_bits)
-            f.write(len(packed).to_bytes(4, "little"))
-            f.write(packed)
-
-
-# Type of every key of a LUT-file header besides "format" and "class_energy".
-_HEADER_TYPES = {"m": int, "m_sb": int, "layers": list, "spec_sha256": str}
-
-
-def _check_header(header: object) -> None:
-    """Raise LutFormatError unless the header is an object holding every key with its type.
-
-    The class-energy table is not a parameter: it must equal CLASS_ENERGIES.
-    """
-    if not isinstance(header, dict):
-        raise LutFormatError(f"header is a {type(header).__name__}, not an object")
-    # JSON true and 1.0 equal 1 in Python; only the integer is the format number.
-    if type(header.get("format")) is not int or header["format"] != LUTFILE_FORMAT:
-        raise LutFormatError(f"unsupported header format {header.get('format')!r}")
-    for key, kind in _HEADER_TYPES.items():
-        if not isinstance(header.get(key), kind):
-            raise LutFormatError(f"header key {key!r} is missing or not a {kind.__name__}")
-    if header.get("class_energy") != list(CLASS_ENERGIES):
-        raise LutFormatError(f"header class energies {header.get('class_energy')!r} are not {list(CLASS_ENERGIES)}")
+        for block in _file_blocks(lutset):
+            f.write(len(block).to_bytes(4, "little") + block)
 
 
 def load_lutset(path: str | os.PathLike) -> LutSet:
-    """Read the binary format and accept only the synthesized tables.
+    """Read a LUT file, accepting it only if it is byte for byte what save_lutset writes for its header's layer rows.
 
-    Energies are not stored. Each layer is ranked afresh, bottom-up from
-    CLASS_ENERGIES, and its blob must equal save_lutset's packing of it:
-    that packing is injective and pads with zeros, so no other blob loads.
+    Energies are not stored: the tables are ranked afresh, bottom-up from
+    CLASS_ENERGIES. Their packing is injective and pads with zeros.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != LUTFILE_MAGIC:
             raise LutFormatError(f"bad magic {magic!r}")
-        header_len = int.from_bytes(f.read(4), "little")
+        head = _read_block(f)
         try:
-            header = json.loads(f.read(header_len).decode())
+            header = json.loads(head)
         except (ValueError, RecursionError) as exc:
             raise LutFormatError(f"unreadable header: {exc}") from exc
-        _check_header(header)
-        spec = validate_tree(header["layers"], header["m"], header["m_sb"])
-        if spec_fingerprint(spec) != header["spec_sha256"]:
-            raise LutFormatError("spec fingerprint mismatch")
+        if not isinstance(header, dict) or not isinstance(header.get("layers"), list):
+            raise LutFormatError("header is not an object holding a list of layer rows")
+        spec = validate_tree(header["layers"], BITS_PER_QAM, SHAPED_BITS_PER_QAM)
         luts = [_ranked_lut(spec.leaf, CLASS_ENERGIES)]
         for layer in reversed(spec.layers[:-1]):
             luts.append(_ranked_lut(layer, luts[-1].band_energy))
-        for lut in reversed(luts):
-            nbytes = int.from_bytes(f.read(4), "little")
-            data = f.read(nbytes)
-            if len(data) != nbytes:
-                raise LutFormatError(f"file ends inside a layer blob of {nbytes} bytes")
-            _check_blob(data, lut)
+        lutset = LutSet(spec=spec, luts=tuple(reversed(luts)))
+        blocks = _file_blocks(lutset)
+        if head != blocks[0]:
+            raise LutFormatError(_header_fault(header, json.loads(blocks[0])))
+        for lut, packed in zip(lutset.luts, blocks[1:]):
+            if (data := _read_block(f)) != packed:
+                raise LutFormatError(_blob_fault(data, packed, lut))
         if f.read(1):
             raise LutFormatError("trailing bytes after last layer")
-    return LutSet(spec=spec, luts=tuple(reversed(luts)))
+    return lutset
 
 
-def _check_blob(data: bytes, lut: Lut) -> None:
-    """Raise LutFormatError, naming the layer and the first fault, unless data is lut's packing."""
-    packed = _pack_words_le(lut.entries, lut.out_bits)
-    if data == packed:
-        return
+def _read_block(f: BinaryIO) -> bytes:
+    nbytes = int.from_bytes(f.read(4), "little")
+    data = f.read(min(nbytes, os.fstat(f.fileno()).st_size))  # read(n) allocates n bytes before reading
+    if len(data) != nbytes:
+        raise LutFormatError(f"file ends inside a block of {nbytes} bytes")
+    return data
+
+
+def _header_fault(header: dict, expected: dict) -> str:
+    """Name the first key, in sorted order, whose canonical JSON differs between header and expected."""
+    for key in sorted(header.keys() | expected.keys()):
+        try:
+            if json.dumps(header[key], sort_keys=True) == json.dumps(expected[key], sort_keys=True):
+                continue
+        except (KeyError, RecursionError):  # on one side only, or nested past the encoder's depth
+            pass
+        return f"header key {key!r} is not save_lutset's"
+    return "header is not save_lutset's canonical JSON"
+
+
+def _blob_fault(data: bytes, packed: bytes, lut: Lut) -> str:
+    """Name lut's layer and the first fault of data, a blob other than packed, the packing of lut's entries."""
     if len(data) != len(packed):
         fault = f"blob has {len(data)} bytes, expected {len(packed)}"
     else:
@@ -351,4 +344,4 @@ def _check_blob(data: bytes, lut: Lut) -> None:
         diff = int.from_bytes(data, "little") ^ int.from_bytes(packed, "little")
         entry = ((diff & -diff).bit_length() - 1) // lut.out_bits
         fault = f"entry {entry} is not the synthesized table's" if entry < len(lut.entries) else "nonzero padding bits"
-    raise LutFormatError(f"layer {lut.layer_index}: {fault}")
+    return f"layer {lut.layer_index}: {fault}"

@@ -515,6 +515,17 @@ def test_vector_file_errors(tree3_lutset):
         load_test_vectors(io.StringIO("not-a-vector-file\n"))
     with pytest.raises(ValueError, match="two hex fields"):
         load_test_vectors(io.StringIO(f"dmkit-vectors 1 {spec.n_info} {spec.n_out}\ndeadbeef\n"))
+    # Widths that are not positive integers, which once raised int()'s message.
+    for widths in ["x 16", "10 1.5", "0 16", "-10 16"]:
+        with pytest.raises(ValueError, match="^not a test-vector file: header"):
+            load_test_vectors(io.StringIO(f"dmkit-vectors 1 {widths}\n"))
+    # Malformed pairs, each named by its line; the first pair is good. A
+    # 10-bit word takes two bytes, its last six bits zero.
+    good = f"{BitWord(1, spec.n_info).hex()} {BitWord(0, spec.n_out).hex()}"
+    for pair in ["zz 0000", "0040 zz", "00 0000", "0040 00", "0041 0000", "0040 000000"]:
+        text = f"dmkit-vectors 1 {spec.n_info} {spec.n_out}\n{good}\n\n{pair}\n"
+        with pytest.raises(ValueError, match="^line 4: "):
+            load_test_vectors(io.StringIO(text))
     with pytest.raises(ValueError):
         dump_test_vectors(io.StringIO(), [(BitWord(0, 1), BitWord(0, 1))], spec)
 

@@ -106,6 +106,36 @@ def test_monte_carlo_single_word(tree3_lutset):
         monte_carlo_pmf(tree3_lutset, 0)
 
 
+# monte_carlo_pmf's results to the last bit, as one per-word encode after
+# another gave them; the sampled words and the summation order are fixed.
+PINNED_SAMPLES = [
+    ("full_lutset", 800, 41, (
+        (0.47486718750000007, 0.33624609375, 0.15277734375000016, 0.03610937499999999),
+        (0.0007721481197941166, 0.0009835798698633635, 0.0005997406011683139, 0.0002760982370934969),
+    )),
+    ("tree3_lutset", 25, 7, (
+        (0.505, 0.425, 0.07, 0.0),
+        (0.028394541729001358, 0.03061862178478975, 0.012665570127975553, 0.0),
+    )),
+    ("full_lutset", 1000, None, (
+        (0.47511249999999966, 0.3362749999999999, 0.15215937500000004, 0.03645312500000003),
+        (0.0006691043785687989, 0.000839238275690215, 0.0005227958427795785, 0.0002462806529539066),
+    )),
+    ("full_lutset", 1, 3, ((0.4875, 0.30625, 0.171875, 0.034375), (0.0, 0.0, 0.0, 0.0))),
+    ("full_lutset", 10000, 12345, (
+        (0.4761009374999989, 0.33538218750000076, 0.1519796874999999, 0.03653718749999995),
+        (0.00021076528507819016, 0.0002639275832582781, 0.00016531626971024864, 7.783317201227252e-05),
+    )),
+]
+
+
+@pytest.mark.parametrize("fixture, n_words, seed, expected", PINNED_SAMPLES)
+def test_monte_carlo_pinned(request, fixture, n_words, seed, expected):
+    lutset = request.getfixturevalue(fixture)
+    args = (n_words,) if seed is None else (n_words, seed)
+    assert monte_carlo_pmf(lutset, *args) == expected
+
+
 def test_monte_carlo_tracks_exact(full_lutset):
     exact = exact_class_pmf(full_lutset)
     estimate, stderr = monte_carlo_pmf(full_lutset, 800, seed=41)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,16 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
     with pytest.raises(LutFormatError):
         load_lutset(trunc)
 
+    # A byte count past the end of the file allocates nothing of its size.
+    huge = tmp_path / "huge.lut"
+    huge.write_bytes(bytes(raw[:8]) + (1 << 26).to_bytes(4, "little") + b"{}")
+    tracemalloc.start()
+    with pytest.raises(LutFormatError, match="^file ends inside a block of 67108864 bytes$"):
+        load_lutset(huge)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+
     extra = tmp_path / "extra.lut"
     extra.write_bytes(bytes(raw) + b"\x00")
     with pytest.raises(LutFormatError, match="trailing"):
@@ -322,6 +333,22 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
         blob = json.dumps(doc).encode()
         edited.write_bytes(bytes(raw[:8]) + len(blob).to_bytes(4, "little") + blob + payload)
         with pytest.raises(LutFormatError, match="header"):
+            load_lutset(edited)
+
+    # Headers that carry the same spec in another form: each loaded once.
+    canonical = {"sort_keys": True, "separators": (",", ":")}
+    other_forms = [
+        ({**header, "note": 0}, canonical, "header key 'note'"),
+        (header, {}, "header is not save_lutset's canonical JSON"),
+        ({**header, "layers": [{k: v for k, v in row.items() if k != "T"} for row in header["layers"]]}, canonical, "header key 'layers'"),
+        ({**header, "layers": header["layers"][::-1]}, canonical, "header key 'layers'"),
+        # Once a GranularityViolation: the modulation is not read from the header.
+        ({**header, "m": 16}, canonical, "header key 'm'"),
+    ]
+    for doc, form, message in other_forms:
+        blob = json.dumps(doc, **form).encode()
+        edited.write_bytes(bytes(raw[:8]) + len(blob).to_bytes(4, "little") + blob + payload)
+        with pytest.raises(LutFormatError, match=f"^{message}"):
             load_lutset(edited)
 
     # The leaf blob one byte longer, its byte count raised to match.
