@@ -82,7 +82,7 @@ import mmap
 import os
 import threading
 from functools import partial
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence
 
 from .bits import BitWord, read_slots, split_slots, split_symbols, wide_slots
 from .synthesis import DECODE_FILL, LutSet
@@ -385,34 +385,27 @@ def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
 
 
 def dump_test_vectors(
-    dest: str | os.PathLike | TextIO,
+    path: str | os.PathLike,
     pairs: Iterable[tuple[BitWord, BitWord]],
     spec: TreeSpec,
 ) -> None:
-    """Write (information word, shaped word) pairs as hex lines.
+    """Write (information word, shaped word) pairs as hex lines to the file at path.
 
     Format: a header line "dmkit-vectors 1 <n_info> <n_out>", then one
     pair per line as two hex strings (MSB-first byte packing, zero pad
     bits at the end of the last byte).
     """
-    own = isinstance(dest, (str, os.PathLike))
-    f: TextIO = open(dest, "w") if own else dest  # type: ignore[arg-type]
-    try:
+    with open(path, "w") as f:
         f.write(f"{VECTOR_FILE_TAG} 1 {spec.n_info} {spec.n_out}\n")
         for info, shaped in pairs:
             if info.width != spec.n_info or shaped.width != spec.n_out:
                 raise ValueError("pair widths do not match the spec")
             f.write(f"{info.hex()} {shaped.hex()}\n")
-    finally:
-        if own:
-            f.close()
 
 
-def load_test_vectors(src: str | os.PathLike | TextIO) -> list[tuple[BitWord, BitWord]]:
-    """Read a test-vector file written by dump_test_vectors."""
-    own = isinstance(src, (str, os.PathLike))
-    f: TextIO = open(src) if own else src  # type: ignore[arg-type]
-    try:
+def load_test_vectors(path: str | os.PathLike) -> list[tuple[BitWord, BitWord]]:
+    """Read the test-vector file at path, as dump_test_vectors writes it."""
+    with open(path) as f:
         head = f.readline().split()
         widths = [int(w) for w in head[2:] if w.isdecimal()]
         if len(head) != 4 or head[0] != VECTOR_FILE_TAG or head[1] != "1" or len(widths) != 2 or 0 in widths:
@@ -428,7 +421,4 @@ def load_test_vectors(src: str | os.PathLike | TextIO) -> list[tuple[BitWord, Bi
                 pairs.append(tuple([BitWord.from_hex(text, w) for text, w in zip(fields, widths)]))
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
-        return pairs
-    finally:
-        if own:
-            f.close()
+    return pairs

@@ -23,7 +23,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .bits import BitWord, read_slots, split_symbols
 from .ccdm import CcdmCode
@@ -118,6 +118,19 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     return tuple(n / total for n in field_counts)
 
 
+def _sample_batches(n_info: int, n_words: int, seed: int) -> Iterator[BitWord]:
+    """The n_words random n_info-bit words of random.Random(seed), in draw order.
+
+    Each run of up to _MC_BATCH_WORDS words comes as one BitWord, so a
+    caller holds one run at a time.
+    """
+    rng = random.Random(seed)
+    for first in range(0, n_words, _MC_BATCH_WORDS):
+        batch = min(_MC_BATCH_WORDS, n_words - first)
+        text = "".join([format(rng.getrandbits(n_info), f"0{n_info}b") for _ in range(batch)])
+        yield BitWord(int(text, 2), batch * n_info)
+
+
 def monte_carlo_pmf(
     lutset: LutSet,
     n_words: int,
@@ -129,20 +142,18 @@ def monte_carlo_pmf(
     are independent, so the error is the sample stderr of the per-word
     class fractions, counted by bytes.count on each word's slice of the
     class symbols. The words go through encode_stream, _MC_BATCH_WORDS a
-    call, so memory stays bounded. Deterministic for a fixed seed.
+    call (_sample_batches), so memory stays bounded. Deterministic for a
+    fixed seed.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     n_info, n_pam = lutset.spec.n_info, lutset.spec.n_pam
-    rng = random.Random(seed)
     n_classes = 1 << CLASS_BITS
     sums = [0.0] * n_classes
     sq_sums = [0.0] * n_classes
-    for first in range(0, n_words, _MC_BATCH_WORDS):
-        batch = min(_MC_BATCH_WORDS, n_words - first)
-        text = "".join([format(rng.getrandbits(n_info), f"0{n_info}b") for _ in range(batch)])
-        symbols = split_symbols(encode_stream(lutset, BitWord(int(text, 2), batch * n_info)), CLASS_BITS)
-        for k in range(batch):
+    for words in _sample_batches(n_info, n_words, seed):
+        symbols = split_symbols(encode_stream(lutset, words), CLASS_BITS)
+        for k in range(words.width // n_info):
             for c in range(n_classes):
                 frac = symbols.count(c, k * n_pam, (k + 1) * n_pam) / n_pam
                 sums[c] += frac

@@ -175,15 +175,6 @@ def _cut(data: bytes, size: int) -> tuple[bytes, ...]:
     return struct.Struct(f"{size}s" * (len(data) // size)).unpack(data)
 
 
-def _band_means(energies: Sequence[float], parent_bits: int | None) -> tuple[float, ...]:
-    # Index = r (high) || s (low): band rv covers one contiguous slice.
-    if parent_bits is None:
-        return (sum(energies) / len(energies),)
-    n_bands = 1 << parent_bits
-    size = len(energies) // n_bands
-    return tuple(sum(energies[b * size : (b + 1) * size]) / size for b in range(n_bands))
-
-
 def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:
     """Score of every out_bits-bit word, indexed by the word.
 
@@ -203,12 +194,15 @@ def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
     sums = _field_sums(cost, layer.out_bits)
     # A stable sort of the ascending words breaks energy ties by value.
     kept = sorted(range(1 << layer.out_bits), key=sums.__getitem__)[: 1 << layer.in_bits]
+    # Index = r parent bits (high) || s information bits (low): a band is 2^s
+    # contiguous entries, and the top layer (v = s) is one band.
+    scores, size = [sums[w] for w in kept], 1 << layer.info_bits
     return Lut(
         layer_index=layer.layer_index,
         in_bits=layer.in_bits,
         out_bits=layer.out_bits,
         entries=tuple(kept),
-        band_energy=_band_means([sums[w] for w in kept], layer.parent_bits),
+        band_energy=tuple(sum(scores[b : b + size]) / size for b in range(0, len(scores), size)),
     )
 
 

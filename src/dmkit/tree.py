@@ -94,6 +94,8 @@ class TreeSpec:
         return self.layers[-1]
 
 
+# The one statement of the layer-row keys: each short config key, in the
+# order rows are written, and the LayerParams field it fills.
 _FIELD_FOR_KEY = {
     "l": "layer_index",
     "t": "fanin",
@@ -218,18 +220,7 @@ def validate_tree(
     n_info = sum(r["lut_count"] * r["info_bits"] for r in rows)
     n_pam = n_out // CLASS_BITS
 
-    layers = tuple(
-        LayerParams(
-            layer_index=r["layer_index"],
-            lut_count=r["lut_count"],
-            info_bits=r["info_bits"],
-            in_bits=r["in_bits"],
-            out_bits=r["out_bits"],
-            fanin=r["fanin"],
-            parent_bits=r["parent_bits"],
-        )
-        for r in rows
-    )
+    layers = tuple(LayerParams(**r) for r in rows)
     return TreeSpec(layers=layers, n_info=n_info, n_pam=n_pam, n_out=n_out)
 
 
@@ -246,22 +237,15 @@ def lut_size_report(spec: TreeSpec) -> dict[str, int]:
 
 
 def spec_to_mappings(spec: TreeSpec) -> list[dict[str, int]]:
-    """Layer rows as plain dicts with the short config keys, top-down."""
-    out = []
-    for layer in spec.layers:
-        row: dict[str, int] = {"l": layer.layer_index}
-        if layer.fanin is not None:
-            row["t"] = layer.fanin
-        row["T"] = layer.lut_count
-        if layer.parent_bits is not None:
-            row["r"] = layer.parent_bits
-        row.update({"s": layer.info_bits, "v": layer.in_bits, "u": layer.out_bits})
-        out.append(row)
-    return out
+    """Layer rows as plain dicts with the short config keys, top-down; the top layer has no t or r."""
+    return [
+        {key: value for key, field in _FIELD_FOR_KEY.items() if (value := getattr(layer, field)) is not None}
+        for layer in spec.layers
+    ]
 
 
 def spec_fingerprint(spec: TreeSpec) -> str:
-    """Stable hex digest of the spec, used to pair serialized tables with configs."""
+    """Stable hex digest of the spec: the spec_sha256 of a LUT file's header."""
     doc = {"m": BITS_PER_QAM, "m_sb": SHAPED_BITS_PER_QAM, "layers": spec_to_mappings(spec)}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:32]

@@ -9,6 +9,7 @@ import pytest
 import dmkit.cli
 from dmkit import CLASS_ENERGIES, BitWord, mb_fit, read_bitfile, write_bitfile
 from dmkit.cli import main
+from dmkit.stats import DEFAULT_SEED
 from dmkit.synthesis import LUTFILE_MAGIC
 from conftest import TREE3_ROWS
 
@@ -161,7 +162,10 @@ def test_selftest_fails_on_swapped_decode_records(monkeypatch, tree3_config, cap
 
 
 def test_selftest_fails_on_a_flipped_stream_bit(monkeypatch, tree3_config, capsys):
-    # The small-tree check runs the stream path of encode and decode.
+    # Round-trip, zero-word and small-trees run the stream path of encode and
+    # decode; the flip lands in the last word of each stream, so round-trip
+    # names the 30th word of the sample. The sampled check encodes through
+    # stats, which keeps the real encode_stream.
     encode_stream = dmkit.cli.encode_stream
 
     def flipped(lutset, bits, pad=False):
@@ -170,9 +174,88 @@ def test_selftest_fails_on_a_flipped_stream_bit(monkeypatch, tree3_config, capsy
 
     monkeypatch.setattr(dmkit.cli, "encode_stream", flipped)
     assert main(["selftest", "--config", str(tree3_config), "--words", "30"]) == 1
+    rng = random.Random(DEFAULT_SEED)
+    last = [BitWord(rng.getrandbits(10), 10) for _ in range(30)][-1]
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL round-trip: round-trip failed for {last.hex()}",
+        "PASS tables: 3 layers injective with exact mirrors",
+        "FAIL zero-word: all-zero word does not map to the all-zero output",
+        "PASS exact-vs-sampled: exact vs 30-word sample within 4 sigma",
+        "FAIL small-trees: two-layer: round-trip failed at 15",
+        "selftest: 3 failure(s)",
+    ]
+
+
+def _extra_leaf_record(monkeypatch):
+    """A leaf decode table that also holds a record for a word the leaf never emits."""
+    synthesize = dmkit.cli.synthesize_tree
+
+    def extra(spec):
+        lutset = synthesize(spec)
+        table = list(lutset.decode_slots[-1])
+        table[table.index(None)] = table[lutset.luts[-1].entries[0]]
+        lutset.__dict__["decode_slots"] = lutset.decode_slots[:-1] + (tuple(table),)
+        return lutset
+
+    monkeypatch.setattr(dmkit.cli, "synthesize_tree", extra)
+
+
+def _zero_off_zero(monkeypatch):
+    """An encode_stream that maps the all-zero stream to a nonzero one."""
+    encode_stream = dmkit.cli.encode_stream
+
+    def shifted(lutset, bits, pad=False):
+        out = encode_stream(lutset, bits, pad)
+        return BitWord(out.value or 1, out.width)
+
+    monkeypatch.setattr(dmkit.cli, "encode_stream", shifted)
+
+
+def _sample_off_exact(monkeypatch):
+    """A sampled pmf with every word in class 0 and no spread."""
+    monkeypatch.setattr(dmkit.cli, "monte_carlo_pmf", lambda lutset, n, seed: ((1.0, 0.0, 0.0, 0.0), (0.0,) * 4))
+
+
+def _unemitted_last_leaf_word(monkeypatch):
+    """An encode_stream whose last 4-bit leaf output is 1111, a word neither small tree's leaf emits."""
+    encode_stream = dmkit.cli.encode_stream
+
+    def unemitted(lutset, bits, pad=False):
+        out = encode_stream(lutset, bits, pad)
+        return BitWord(out.value | 0b1111, out.width)
+
+    monkeypatch.setattr(dmkit.cli, "encode_stream", unemitted)
+
+
+def _classes_off_codebook(monkeypatch):
+    """Class symbols read as all zero, so no codebook average matches its exact pmf."""
+    split_symbols = dmkit.cli.split_symbols
+    monkeypatch.setattr(dmkit.cli, "split_symbols", lambda word, width: bytes(len(split_symbols(word, width))))
+
+
+# One fault per check that no other test makes fail: its FAIL line, and the
+# whole report's failure count.
+@pytest.mark.parametrize(
+    "fault, line, failures",
+    [
+        (_extra_leaf_record, "FAIL tables: layer 1: not 8 decode records", 1),
+        (_zero_off_zero, "FAIL zero-word: all-zero word does not map to the all-zero output", 1),
+        (_sample_off_exact, "FAIL exact-vs-sampled: class 0: |0.468750 - 1.000000| > 4 * 0.000000", 1),
+        (
+            _unemitted_last_leaf_word,
+            "FAIL small-trees: two-layer: round-trip failed: invalid word at layer 1, lut 1",
+            3,
+        ),
+        (_classes_off_codebook, "FAIL small-trees: two-layer: exact pmf disagrees with codebook average", 1),
+    ],
+    ids=["tables-count", "zero-word", "exact-vs-sampled", "small-trees-invalid", "small-trees-pmf"],
+)
+def test_selftest_reports_each_check_failure(monkeypatch, tree3_config, capsys, fault, line, failures):
+    fault(monkeypatch)
+    assert main(["selftest", "--config", str(tree3_config), "--words", "30"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL small-trees: two-layer: round-trip failed" in out
-    assert out.count("PASS") == 4 and out.endswith("selftest: 1 failure(s)\n")
+    assert line + "\n" in out
+    assert out.endswith(f"selftest: {failures} failure(s)\n")
 
 
 def test_mb_fit_out_of_steps_is_a_clean_error(monkeypatch, capsys):

@@ -1,9 +1,9 @@
 import copy
-import io
 import os
 import pickle
 import random
 import signal
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +370,29 @@ def test_stream_without_fork(monkeypatch, deadline, full_lutset):
     _assert_no_children()
 
 
+def test_stream_runs_in_one_process_while_another_thread_runs(monkeypatch, deadline, full_lutset):
+    # Forking while another thread runs is unsafe: a stream long enough for
+    # two ranges then runs here alone, with the one-word codec's output.
+    spec = full_lutset.spec
+    n_words = 2 * codec.RANGE_CHUNKS * _chunk_words(spec)
+    rng = random.Random(17)
+    words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
+
+    def fork():
+        pytest.fail("forked while another thread runs")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        shaped = encode_stream(full_lutset, join_words(words, spec.n_info))
+    finally:
+        stop.set()
+        thread.join()
+    assert cut_words(shaped, spec.n_out) == tuple(encode(full_lutset, BitWord(w, spec.n_info)).value for w in words)
+
+
 def test_stream_reruns_range_of_child_that_dies(monkeypatch, deadline, full_lutset):
     # 4c + 3 words in two processes: the child runs range 1, the last three
     # chunks. It writes its first chunk's output with every bit flipped, then
@@ -509,25 +532,31 @@ def test_vector_file_roundtrip(tmp_path, tree3_lutset):
     assert first == f"dmkit-vectors 1 {spec.n_info} {spec.n_out}"
 
 
-def test_vector_file_errors(tree3_lutset):
+def test_vector_file_errors(tmp_path, tree3_lutset):
     spec = tree3_lutset.spec
+    path = tmp_path / "vectors.txt"
+
+    def load(text):
+        path.write_text(text)
+        return load_test_vectors(path)
+
     with pytest.raises(ValueError, match="header"):
-        load_test_vectors(io.StringIO("not-a-vector-file\n"))
+        load("not-a-vector-file\n")
     with pytest.raises(ValueError, match="two hex fields"):
-        load_test_vectors(io.StringIO(f"dmkit-vectors 1 {spec.n_info} {spec.n_out}\ndeadbeef\n"))
+        load(f"dmkit-vectors 1 {spec.n_info} {spec.n_out}\ndeadbeef\n")
     # Widths that are not positive integers, which once raised int()'s message.
     for widths in ["x 16", "10 1.5", "0 16", "-10 16"]:
         with pytest.raises(ValueError, match="^not a test-vector file: header"):
-            load_test_vectors(io.StringIO(f"dmkit-vectors 1 {widths}\n"))
+            load(f"dmkit-vectors 1 {widths}\n")
     # Malformed pairs, each named by its line; the first pair is good. A
     # 10-bit word takes two bytes, its last six bits zero.
     good = f"{BitWord(1, spec.n_info).hex()} {BitWord(0, spec.n_out).hex()}"
     for pair in ["zz 0000", "0040 zz", "00 0000", "0040 00", "0041 0000", "0040 000000"]:
         text = f"dmkit-vectors 1 {spec.n_info} {spec.n_out}\n{good}\n\n{pair}\n"
         with pytest.raises(ValueError, match="^line 4: "):
-            load_test_vectors(io.StringIO(text))
+            load(text)
     with pytest.raises(ValueError):
-        dump_test_vectors(io.StringIO(), [(BitWord(0, 1), BitWord(0, 1))], spec)
+        dump_test_vectors(path, [(BitWord(0, 1), BitWord(0, 1))], spec)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from dmkit import (
     stats_for_mb,
     stats_from_pmf,
 )
+from dmkit.maxwell import qam_entropy
 
 # Exact class distribution of the bundled seven-layer tree; every value is
 # a dyadic rational, so equality holds to the last float bit and this pins
@@ -173,6 +174,15 @@ def test_mb_column_statistics():
     assert abs(report.energy - 68.31) <= 0.02
     assert abs(report.gain_db - 1.444) <= 0.005
     assert report.r_loss == 0.0  # beta defaults to the entropy itself
+
+
+@pytest.mark.parametrize("target", [2.001, 2 + 1e-8])
+def test_mb_fit_near_the_lower_end(target):
+    # 2H(X) at lam = 1 is still above these targets, so the bracket's upper
+    # end doubles before the bisection starts.
+    dist = mb_fit(target)
+    assert dist.lam > 1.0
+    assert abs(qam_entropy(dist.p_abs) - target) <= 1e-9
 
 
 def test_class_pmf_expands_to_equal_pair_members():

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 
@@ -143,6 +144,25 @@ def test_malformed_tables():
         validate_tree(rows, 8, 4)
     with pytest.raises(TreeConfigError):
         validate_tree([{"l": 1, "T": 1, "s": 2.5, "v": 2, "u": 4}], 8, 4)
+
+
+# One count below its minimum per case; the error names the field.
+@pytest.mark.parametrize(
+    "row, key, value, name",
+    [
+        (0, "l", 0, "layer index l must be >= 1, got 0"),
+        (0, "v", 0, "v (layer 7) must be >= 1, got 0"),
+        (6, "u", 0, "u (layer 1) must be >= 1, got 0"),
+        (6, "t", 0, "t (layer 1) must be >= 1, got 0"),
+        (6, "T", 0, "T (layer 1) must be >= 1, got 0"),
+        (6, "s", -1, "s (layer 1) must be >= 0, got -1"),
+    ],
+)
+def test_counts_below_their_minimum(row, key, value, name):
+    rows = copy.deepcopy(SEVEN_LAYER_ROWS)
+    rows[row][key] = value
+    with pytest.raises(TreeConfigError, match=re.escape(name)):
+        validate_tree(rows, 8, 4)
 
 
 def test_idempotent_revalidation():
