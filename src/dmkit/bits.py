@@ -6,8 +6,8 @@ word becomes bit 7 of byte 0, and the final byte is zero-padded on the low
 end. Hex encodings are the hex digits of that byte packing.
 
 pack_symbols/unpack_symbols are the one split/join between a word and its
-fixed-width symbols (bits, amplitude classes, LUT entries, or the codec
-fields of a stream); split_symbols is unpack_symbols without the tuple.
+fixed-width symbols (bits, amplitude classes, LUT entries, or the leaf
+outputs of a stream); split_symbols is unpack_symbols without the tuple.
 Symbols are 1 to MAX_SYMBOL_BITS = 16 bits wide (every LUT entry, leaf
 output, information field and class symbol fits one 16-bit slot) and go
 both ways bit-parallel, through 8- or 16-bit slots. The split takes
@@ -15,10 +15,8 @@ log2(count) whole-integer steps, each moving half of every group of
 symbols up, until each symbol sits in its own slot, and one bytes or
 array conversion reads the slots out. The pack is its gather: one bytes
 or array conversion puts the symbols in slots, and the same steps with
-the same masks, bottom level first, move them back down. split_slots is
-the split without the read-out, the symbols left in their big-endian
-slots, which is the form the codec keeps: wide_slots widens 8-bit slots
-to 16 bits, and read_slots reads 16-bit slots as an array.
+the same masks, bottom level first, move them back down. read_slots reads
+big-endian 16-bit slots as an array, the form the codec keeps.
 """
 
 from __future__ import annotations
@@ -76,14 +74,6 @@ class BitWord:
         return cls.from_bytes(bytes.fromhex(text), width)
 
 
-def _check_symbols(symbols: Sequence[int], width: int) -> None:
-    """Raise ValueError naming the first symbol that does not fit in width bits."""
-    limit = 1 << width
-    for s in symbols:
-        if not 0 <= s < limit:
-            raise ValueError(f"symbol {s} does not fit in {width} bits")
-
-
 def read_slots(data: bytes) -> array:
     """The big-endian 16-bit slots of data, as an array of ints."""
     slots = array("H", data)
@@ -108,16 +98,16 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     slot = 8 if width <= 8 else 16
     try:
         slots = bytes(symbols) if slot == 8 else array("H", symbols)
-    except (ValueError, OverflowError):  # a symbol outside the slot
-        _check_symbols(symbols, width)
-        raise
-    if slot == 16:
-        if sys.byteorder == "little":
-            slots.byteswap()
-        slots = slots.tobytes()
-    # Every symbol's high byte must hold only its top width + 8 - slot bits.
-    if width < slot and slots[:: slot // 8].translate(None, bytes(range(1 << (width + 8 - slot)))):
-        _check_symbols(symbols, width)
+        if slot == 16:
+            if sys.byteorder == "little":
+                slots.byteswap()
+            slots = slots.tobytes()
+        # Every symbol's high byte must hold only its top width + 8 - slot bits.
+        if width < slot and slots[:: slot // 8].translate(None, bytes(range(1 << (width + 8 - slot)))):
+            raise ValueError
+    except (ValueError, OverflowError):  # a symbol outside its slot or its width
+        bad = next(s for s in symbols if not 0 <= s < 1 << width)
+        raise ValueError(f"symbol {bad} does not fit in {width} bits") from None
     masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
     whole = max(count - 1, 0) // SPREAD_BLOCK * SPREAD_BLOCK  # symbols before the last block, whole bytes packed
     out = bytearray()
@@ -185,47 +175,31 @@ def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     return x >> ((n - count) * width)
 
 
-def split_slots(word: BitWord, width: int) -> bytes:
-    """The width-bit symbols of word, one to a big-endian 8-bit (width <= 8) or 16-bit slot.
-
-    width is at most MAX_SYMBOL_BITS and divides word.width. Blocks of
-    SPREAD_BLOCK symbols are split bit-parallel by _spread, each cut from
-    whole bytes of the word (SPREAD_BLOCK is a multiple of 8).
-    """
-    count = word.width // width
-    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
-    if count <= SPREAD_BLOCK:
-        return _spread(word.value, width, count, masks)
-    data = word.to_bytes()
-    out = bytearray()
-    for first in range(0, count, SPREAD_BLOCK):
-        n = min(SPREAD_BLOCK, count - first)
-        block = data[first * width // 8 : (first + SPREAD_BLOCK) * width // 8]
-        out += _spread(int.from_bytes(block, "big") >> (8 * len(block) - n * width), width, n, masks)
-    return out
-
-
-def wide_slots(slots: bytes, width: int) -> bytes:
-    """The slots split_slots gives for width-bit symbols, as big-endian 16-bit slots."""
-    if width > 8:
-        return slots
-    wide = bytearray(2 * len(slots))
-    wide[1::2] = slots
-    return wide
-
-
 def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
     """The symbols of a word, as unpack_symbols gives them, in a compact sequence.
 
-    Symbols of up to 8 bits come as bytes and up to MAX_SYMBOL_BITS as a
-    16-bit array: the slots of split_slots.
+    Symbols of up to 8 bits come as bytes (8-bit slots) and up to
+    MAX_SYMBOL_BITS as an array of 16-bit slots. Blocks of SPREAD_BLOCK
+    symbols are split bit-parallel by _spread, each cut from whole bytes of
+    the word (SPREAD_BLOCK is a multiple of 8).
     """
     width = bits_per_symbol
     if not 1 <= width <= MAX_SYMBOL_BITS:
         raise ValueError(f"bits_per_symbol must be 1 to {MAX_SYMBOL_BITS}, got {width}")
     if word.width % width:
         raise ValueError(f"width {word.width} is not a multiple of {width}")
-    return split_slots(word, width) if width <= 8 else read_slots(split_slots(word, width))
+    count = word.width // width
+    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+    if count <= SPREAD_BLOCK:
+        slots = _spread(word.value, width, count, masks)
+    else:
+        data = word.to_bytes()
+        slots = bytearray()
+        for first in range(0, count, SPREAD_BLOCK):
+            n = min(SPREAD_BLOCK, count - first)
+            block = data[first * width // 8 : (first + SPREAD_BLOCK) * width // 8]
+            slots += _spread(int.from_bytes(block, "big") >> (8 * len(block) - n * width), width, n, masks)
+    return slots if width <= 8 else read_slots(slots)
 
 
 def unpack_symbols(word: BitWord, bits_per_symbol: int) -> tuple[int, ...]:

@@ -25,23 +25,34 @@ one buffer of the whole output; the whole stream is still held in memory.
 A decode chunk with a table miss is re-run word by word, so a stream
 raises the InvalidWord of its first invalid word.
 
-encode cuts the information fields bit-parallel (bits.split_slots), the
-layers with the same s in one call, at the places LutSet.info_groups
-gives. The lookups of an upper layer in LutSet.encode_slots give each
-LUT's t child fields, already in their slots and shifted left by the
-child's s: one join of them and one integer or with the children's
-information fields are the next layer's indices. The leaf's lookups give
-its entries as binary text, joined and read as one integer. decode splits
-the leaf outputs in one call. The lookups of a layer in
-LutSet.decode_slots give each LUT's record: the r-bit value its parent
-sent, in a 16-bit slot, then its s information bits as text; a word the
-table never emits gives None, which the join rejects. The siblings'
-values become their parent's words by whole-integer shifts, ands and
-subtractions; the information bits of every record are cut out once per
-run by strided byte copies and joined word by word. No mirror table is
-built. A 128-word chunk of the bundled tree, about 16k lookups, takes
-1.51 ms to encode and 1.41 ms to decode (one process, best of 120 calls,
-Python 3.11, 2-core x86_64 VM).
+encode cuts the information fields with one slice plan per group of
+layers with the same s (LutSet.info_groups) and bit planes. A slice plan
+is one operator.itemgetter of every per-word slice, so one C call cuts
+and one join joins a group's layer runs out of the run's binary text, as
+bytes 0 and 1. The joined run's s bit planes, the strided slices that
+hold bit j of every field, are read as integers and shifted and or-ed
+into the byte lanes of the fields' 16-bit slots, two lanes when s > 8.
+The lookups of an upper layer in LutSet.encode_slots give each LUT's t
+child fields, already in their slots and shifted left by the child's s:
+one join of them and one integer or with the children's information
+fields are the next layer's indices. The leaf's lookups give its entries
+as binary text, joined and read as one integer. decode splits the leaf
+outputs in one call. The lookups of a layer in LutSet.decode_slots give
+each LUT's record: the r-bit value its parent sent, in a 16-bit slot,
+then its s information bits as text; a word the table never emits gives
+None, which the join rejects. The siblings' values become their parent's
+words by whole-integer shifts, ands and subtractions; the information
+bits of every record are cut out once per run by strided byte copies and
+put back in word order by the inverse slice plan. No mirror table is
+built. A stream builds the plans of its chunk size once, before it forks,
+so its children inherit them; a shorter last chunk, and a single word,
+builds its own (7 slices a word on the bundled tree). A 128-word chunk of
+the bundled tree, about 16k lookups, takes 1.15 ms to encode, of which
+0.33 ms cuts the information fields, and 1.16 ms to decode, of which 0.38
+ms gathers and rejoins the information bits; before the planes and plans
+these were 1.39, 0.55, 1.31 and 0.51 ms (one process on one CPU, medians
+of 31 alternating rounds, Python 3.11, 2-core x86_64 VM). Building the
+chunk's plans takes about 0.18 ms to encode and 0.22 ms to decode.
 
 Measured dead ends: lookups by str.translate (about 37 ns a character,
 against 16-26 ns for a comprehension lookup); tables of ints turned into
@@ -51,8 +62,11 @@ map(table.__getitem__, ...) in place of the comprehension (slower on a
 chunk and on one word); the leaf's entries as slots packed by the bits
 gather instead of joined as text (2.5x slower on one word, no faster on a
 chunk); a gather of each layer's information bits (it doubled one-word
-decode); and, at fanin 2, widening each sibling's byte into a slot
-instead of the subtraction (about 1.5 us a layer slower on one word).
+decode); at fanin 2, widening each sibling's byte into a slot instead of
+the subtraction (about 1.5 us a layer slower on one word); bit planes for
+the 10-bit leaf split of decode (about 2.3x slower than bits.split_symbols
+on 8,192 fields) and for reading binary text as an integer (about 1.4x
+slower than int(text, 2)).
 
 Words in a stream are independent, so a long stream runs on every usable
 CPU. Its chunks are split into contiguous ranges of at least
@@ -82,13 +96,20 @@ import mmap
 import os
 import threading
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
-from .bits import BitWord, read_slots, split_slots, split_symbols, wide_slots
+from .bits import BitWord, read_slots, split_symbols
 from .synthesis import DECODE_FILL, LutSet
 from .tree import TreeSpec
 
 VECTOR_FILE_TAG = "dmkit-vectors"
+
+# Turns binary text, as bytes, into bytes 0 and 1: the bits _bit_planes reads.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+# A slice plan: plan(seq) is the tuple of seq's pieces at the plan's slices.
+_SlicePlan = Callable[[Sequence], tuple]
 
 # Stream chunks hold about this many table lookups: 128 words of 127 LUTs on
 # the bundled tree.
@@ -116,23 +137,62 @@ class InvalidWord(ValueError):
         return type(self), (self.layer_index, self.lut_index)
 
 
-def _info_slots(lutset: LutSet, words: BitWord) -> list[bytes]:
+def _slice_plan(slices: list[slice]) -> _SlicePlan:
+    """One itemgetter of all the slices, which cuts every piece in one C call.
+
+    A trailing empty slice keeps the result a tuple when there is one slice.
+    """
+    return itemgetter(*slices, slice(0, 0))
+
+
+def _info_plan(lutset: LutSet, n_words: int) -> tuple[_SlicePlan, ...]:
+    """The slice plan of the information fields of n_words words: one per group of LutSet.info_groups.
+
+    A group's plan cuts the T*s-bit run of each of its layers out of the
+    words' binary text, layer after layer, word after word; joined, the
+    pieces are the group's fields in the order _info_slots hands them out.
+    """
+    n_info = lutset.spec.n_info
+    return tuple(
+        _slice_plan([slice(k + a, k + b) for _, a, b in layers for k in range(0, n_words * n_info, n_info)])
+        for _, layers in lutset.info_groups
+    )
+
+
+def _bit_planes(bits: bytes, s: int) -> bytearray:
+    """The s-bit fields of bits, a run of bytes 0 and 1 (a field's first bit first), one to a big-endian 16-bit slot.
+
+    Bit plane j, the strided slice bits[j::s], holds bit j of every field,
+    one to a byte. The planes are read as integers, shifted and or-ed into
+    byte lanes: the low byte of each slot takes the last min(s, 8) planes,
+    the high byte the others.
+    """
+    count = len(bits) // s
+    slots = bytearray(2 * count)
+    for lane, first, stop in ((0, 0, s - 8), (1, max(s - 8, 0), s)):
+        if first < stop:
+            x = 0
+            for j in range(first, stop):
+                x = x << 1 | int.from_bytes(bits[j::s], "big")
+            slots[lane::2] = x.to_bytes(count, "big")
+    return slots
+
+
+def _info_slots(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) -> list[bytes]:
     """The information fields of a run of words, per layer top first, as 16-bit big-endian slots: slot k*T + q holds the field of LUT q of word k.
 
-    The words are formatted once as binary text. The layers with s
-    information bits per LUT are split together, at the places
-    LutSet.info_groups gives: each word's T*s-bit run of each such layer is
-    sliced out of the text, layer after layer, and one split_slots call
-    cuts the joined runs into s-bit fields (two calls on the bundled tree).
-    A layer without information bits gets no slots.
+    The words are formatted once as binary text, turned into bytes 0 and 1.
+    The layers with s information bits per LUT are cut out together: the
+    group's slice plan (plan, from _info_plan for as many words) joins
+    their runs in one call, and _bit_planes splits the joined run into
+    s-bit fields. A layer without information bits gets no slots.
     """
     spec = lutset.spec
-    n_info, n_words = spec.n_info, words.width // spec.n_info
-    text = format(words.value, f"0{words.width}b")
+    n_words = words.width // spec.n_info
+    text = format(words.value, f"0{words.width}b").encode().translate(_BINARY_DIGITS)
     out = [b""] * spec.depth
-    for s, layers in lutset.info_groups:
-        run = "".join([text[k + a : k + b] for _, a, b in layers for k in range(0, words.width, n_info)])
-        slots = wide_slots(split_slots(BitWord(int(run, 2), len(run)), s), s)
+    for (s, layers), cut in zip(lutset.info_groups, plan):
+        slots = _bit_planes(b"".join(cut(text)), s)
         first = 0
         for i, a, b in layers:
             end = first + 2 * n_words * (b - a) // s
@@ -141,16 +201,17 @@ def _info_slots(lutset: LutSet, words: BitWord) -> list[bytes]:
     return out
 
 
-def _encode_words(lutset: LutSet, words: BitWord) -> int:
+def _encode_words(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) -> int:
     """The shaped words of a run of information words, concatenated, one layer at a time.
 
-    A layer's indices are 16-bit slots, LUT q of word k at slot k*T + q.
-    One lookup per LUT in LutSet.encode_slots gives its children's fields,
-    already in their slots and shifted, and one or adds the children's
-    information fields: the next layer's indices. The leaf's lookups give
-    its entries as binary text.
+    plan is _info_plan for as many words. A layer's indices are 16-bit
+    slots, LUT q of word k at slot k*T + q. One lookup per LUT in
+    LutSet.encode_slots gives its children's fields, already in their slots
+    and shifted, and one or adds the children's information fields: the
+    next layer's indices. The leaf's lookups give its entries as binary
+    text.
     """
-    info = _info_slots(lutset, words)
+    info = _info_slots(lutset, words, plan)
     *upper, leaf = lutset.encode_slots
     index = read_slots(info[0])
     for table, fields in zip(upper, info[1:]):
@@ -161,22 +222,33 @@ def _encode_words(lutset: LutSet, words: BitWord) -> int:
     return int("".join([leaf[e] for e in index]), 2)
 
 
-def _decode_words(lutset: LutSet, words: Sequence[int]) -> int:
+def _join_plan(lutset: LutSet, n_words: int) -> _SlicePlan:
+    """The slice plan that puts the information bits of n_words words back in word order.
+
+    It cuts the information text _decode_words gathers, layer after layer,
+    into each word's run of each layer, word after word: joined, the pieces
+    are the information words.
+    """
+    # A layer's bits start at n_words times where they start in a word.
+    runs = [(n_words * first, w) for first, w in lutset.info_runs]
+    return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for first, w in runs])
+
+
+def _decode_words(lutset: LutSet, words: Sequence[int], plan: _SlicePlan) -> int:
     """The information words of shaped words, concatenated.
 
-    words are the shaped words' leaf outputs, word-major. The inverse
-    (invDM) tables, LutSet.decode_slots, run upward one layer at a time:
-    one lookup per LUT gives its record, the r-bit value its parent sent
-    and its s information bits as text. The records' r-bit values are
-    merged into the parent words by whole-integer operations; the
-    information bits of all records are cut out together and joined word
-    by word, at the places LutSet.info_runs gives. Raises InvalidWord at
-    the first layer with a table miss, naming the LUT of the first miss
-    within its word.
+    words are the shaped words' leaf outputs, word-major; plan is
+    _join_plan for as many words. The inverse (invDM) tables,
+    LutSet.decode_slots, run upward one layer at a time: one lookup per LUT
+    gives its record, the r-bit value its parent sent and its s information
+    bits as text. The records' r-bit values are merged into the parent
+    words by whole-integer operations; the information bits of all records
+    are cut out together and put back in word order by plan. Raises
+    InvalidWord at the first layer with a table miss, naming the LUT of the
+    first miss within its word.
     """
     spec = lutset.spec
     tables = lutset.decode_slots
-    n_words = len(words) // spec.leaf.lut_count
     size = len(tables[0][lutset.luts[0].entries[0]])  # every record has this many bytes
     records = [b""] * spec.depth  # per layer: the records of its lookups, joined
     for i in range(spec.depth - 1, -1, -1):
@@ -215,24 +287,22 @@ def _decode_words(lutset: LutSet, words: Sequence[int]) -> int:
     text = bytearray(len(joined) // size * (size - 2))
     for k in range(2, size):
         text[k - 2 :: size - 2] = joined[k::size]
-    text = text.translate(None, DECODE_FILL)
-    # A layer's bits start at n_words times where they start in a word.
-    runs = [(n_words * first, w) for first, w in lutset.info_runs]
-    return int(b"".join([text[first + k * w : first + k * w + w] for k in range(n_words) for first, w in runs]), 2)
+    return int(b"".join(plan(text.translate(None, DECODE_FILL))), 2)
 
 
-def _decode_chunk(lutset: LutSet, chunks: Sequence[int]) -> int:
-    """_decode_words, except that a miss is raised for the first invalid word.
+def _decode_chunk(lutset: LutSet, words: BitWord, plan: _SlicePlan) -> int:
+    """_decode_words of the leaf outputs of shaped words, except that a miss is raised for the first invalid word.
 
     A miss found layer by layer may belong to a later word than one that
     fails higher up, so a chunk with a miss is re-run word by word.
     """
+    leaves = split_symbols(words, lutset.spec.leaf.out_bits)
     try:
-        return _decode_words(lutset, chunks)
+        return _decode_words(lutset, leaves, plan)
     except InvalidWord:
-        count = lutset.spec.leaf.lut_count
-        for j in range(0, len(chunks), count):
-            _decode_words(lutset, chunks[j : j + count])
+        count, one = lutset.spec.leaf.lut_count, _join_plan(lutset, 1)
+        for j in range(0, len(leaves), count):
+            _decode_words(lutset, leaves[j : j + count], one)
         raise
 
 
@@ -241,7 +311,7 @@ def encode(lutset: LutSet, word: BitWord) -> BitWord:
     spec = lutset.spec
     if word.width != spec.n_info:
         raise ValueError(f"expected {spec.n_info} information bits, got {word.width}")
-    return BitWord(_encode_words(lutset, word), spec.n_out)
+    return BitWord(_encode_words(lutset, word, _info_plan(lutset, 1)), spec.n_out)
 
 
 def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
@@ -254,7 +324,7 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     spec = lutset.spec
     if shaped.width != spec.n_out:
         raise ValueError(f"expected {spec.n_out} shaped bits, got {shaped.width}")
-    return BitWord(_decode_words(lutset, split_symbols(shaped, spec.leaf.out_bits)), spec.n_info)
+    return BitWord(_decode_words(lutset, split_symbols(shaped, spec.leaf.out_bits), _join_plan(lutset, 1)), spec.n_info)
 
 
 def _chunk_words(spec: TreeSpec) -> int:
@@ -292,22 +362,33 @@ def _fork_range(run: Callable[[int, int], None], first: int, stop: int) -> int |
     return pid
 
 
-def _run_stream(spec: TreeSpec, bits: BitWord, n_in: int, n_out: int, step: Callable[[BitWord], int]) -> BitWord:
+def _run_stream(
+    spec: TreeSpec,
+    bits: BitWord,
+    n_in: int,
+    n_out: int,
+    step: Callable[[BitWord, Any], int],
+    make_plan: Callable[[int], Any],
+) -> BitWord:
     """Map a stream of n_in-bit words to n_out-bit words, a chunk of words at a time.
 
-    step takes the chunk's words as one BitWord and returns their outputs,
-    concatenated. Chunks are a multiple of 8 words, so every chunk starts on
-    a whole byte on both sides: its output bytes are written in place, into
-    one anonymous shared mmap of the whole output made before any fork.
-    The chunks are cut into _stream_workers contiguous ranges: this process
-    runs the first, a forked child each other one, and a range whose fork
-    fails or whose child exits nonzero is re-run here, after the ranges
-    before it, over whatever bytes the child left.
+    step takes the chunk's words as one BitWord and the slice plan
+    make_plan builds for their count, and returns their outputs,
+    concatenated. The plan of a whole chunk is built once, before any fork,
+    if the stream has a whole chunk; a shorter chunk builds its own. Chunks
+    are a multiple of 8 words, so every chunk starts on a whole byte on
+    both sides: its output bytes are written in place, into one anonymous
+    shared mmap of the whole output made before any fork. The chunks are
+    cut into _stream_workers contiguous ranges: this process runs the
+    first, a forked child each other one, and a range whose fork fails or
+    whose child exits nonzero is re-run here, after the ranges before it,
+    over whatever bytes the child left.
     """
     chunk = _chunk_words(spec)
     data = bits.to_bytes()
     n_words = bits.width // n_in
     size = -(-n_words * n_out // 8)
+    plan = make_plan(chunk) if n_words >= chunk else None
 
     def run(first: int, stop: int) -> None:
         """Write the output bytes of words first..stop-1 in place, one chunk at a time."""
@@ -315,7 +396,8 @@ def _run_stream(spec: TreeSpec, bits: BitWord, n_in: int, n_out: int, step: Call
             count = min(chunk, stop - first)
             start, end = first * n_in // 8, -(-(first + count) * n_in // 8)
             piece = int.from_bytes(data[start:end], "big") >> (8 * (end - start) - count * n_in)
-            piece = BitWord(step(BitWord(piece, count * n_in)), count * n_out).to_bytes()
+            piece = step(BitWord(piece, count * n_in), plan if count == chunk else make_plan(count))
+            piece = BitWord(piece, count * n_out).to_bytes()
             at = first * n_out // 8
             out[at : at + len(piece)] = piece
 
@@ -362,9 +444,9 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
         if not pad:
             raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_info} (use pad)")
         bits = BitWord(bits.value << fill, bits.width + fill)
-    # Built before _run_stream forks, so that its children inherit them.
-    lutset.info_groups, lutset.encode_slots
-    return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset))
+    # Built before _run_stream forks, as the plans are, so that its children inherit it.
+    lutset.encode_slots
+    return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset), partial(_info_plan, lutset))
 
 
 def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
@@ -376,12 +458,9 @@ def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
     n_out = spec.n_out
     if bits.width % n_out:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
-    leaf_bits = spec.leaf.out_bits
-    # Built before _run_stream forks, so that its children inherit them.
-    lutset.decode_slots, lutset.info_runs
-    return _run_stream(
-        spec, bits, n_out, spec.n_info, lambda chunk: _decode_chunk(lutset, split_symbols(chunk, leaf_bits))
-    )
+    # Built before _run_stream forks, as the plans are, so that its children inherit it.
+    lutset.decode_slots
+    return _run_stream(spec, bits, n_out, spec.n_info, partial(_decode_chunk, lutset), partial(_join_plan, lutset))
 
 
 def dump_test_vectors(

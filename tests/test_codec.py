@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dmkit import (
     BitWord,
     InvalidWord,
+    LutSet,
     decode,
     decode_stream,
     dump_test_vectors,
@@ -26,6 +27,7 @@ from dmkit import (
     write_bitfile,
 )
 from dmkit import codec
+from dmkit.bits import read_slots
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
 from conftest import ALL_TREES, TREE3_ROWS, cut_words, join_words
@@ -314,6 +316,54 @@ def test_stream_matches_per_word_codec(request, monkeypatch, deadline, lutset_na
 
 
 @pytest.mark.parametrize("fixture", ALL_TREES)
+def test_stream_matches_per_word_encode_around_one_chunk(request, deadline, fixture):
+    # Every word of streams of c - 1, c and c + 1 words equals its one-word
+    # encode, and every stream decodes back to its words: the whole-chunk
+    # slice plans, and the plans a shorter chunk builds for itself. The
+    # streams are prefixes of one word list, so each word is encoded once.
+    lutset = request.getfixturevalue(fixture)
+    spec = lutset.spec
+    c = _chunk_words(spec)
+    rng = random.Random(29)
+    words = [rng.getrandbits(spec.n_info) for _ in range(c + 1)]
+    shaped = [encode(lutset, BitWord(w, spec.n_info)).value for w in words]
+    for n_words in (c - 1, c, c + 1):
+        stream = encode_stream(lutset, join_words(words[:n_words], spec.n_info))
+        assert cut_words(stream, spec.n_out) == tuple(shaped[:n_words]), n_words
+        assert decode_stream(lutset, stream) == join_words(words[:n_words], spec.n_info), n_words
+
+
+@pytest.mark.parametrize("s", range(1, 17))
+def test_info_slots_cut_every_field_width(s):
+    # The information fields of n_words words, cut by _info_slots through
+    # the slice plan and the bit planes, against one shift and mask per
+    # field. Below 16 bits, four leaves of s bits each sit under a top LUT
+    # of 2 bits, so s shares no group with another layer unless s = 2; at
+    # 16 bits, one LUT of 16 information bits. Only the spec's layout is
+    # read, so no tables are built.
+    if s < 16:
+        u = s + 2 - s % 2  # the even width that holds an s + 1-bit index
+        rows = [{"l": 2, "T": 1, "s": 2, "v": 2, "u": 4}, {"l": 1, "t": 4, "r": 1, "s": s, "v": s + 1, "u": u}]
+    else:
+        rows = [{"l": 1, "T": 1, "s": 16, "v": 16, "u": 16}]
+    lutset = LutSet(validate_tree(rows, 8, 4), ())
+    spec = lutset.spec
+    rng = random.Random(s)
+    for n_words in (1, 2, 7, 8, 9, 127, 128, 129):
+        words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
+        words[0] = (1 << spec.n_info) - 1
+        slots = codec._info_slots(lutset, join_words(words, spec.n_info), codec._info_plan(lutset, n_words))
+        first = 0  # where the layer's fields start in a word
+        for layer, cut in zip(spec.layers, slots):
+            width, count = layer.info_bits, layer.lut_count
+            expected = [
+                (w >> (spec.n_info - first - (q + 1) * width)) & ((1 << width) - 1) for w in words for q in range(count)
+            ]
+            assert list(read_slots(cut)) == expected, (n_words, layer.layer_index)
+            first += count * width
+
+
+@pytest.mark.parametrize("fixture", ALL_TREES)
 def test_decode_matches_naive_mirror_walk(request, monkeypatch, deadline, fixture):
     # Codec outputs and the same words with one flipped bit, one word at a
     # time and as streams in one process and in three. The last stream spans
@@ -407,8 +457,8 @@ def test_stream_reruns_range_of_child_that_dies(monkeypatch, deadline, full_luts
     caller, encode_words = os.getpid(), codec._encode_words
     calls = []
 
-    def dying(lutset, words):
-        out = encode_words(lutset, words)
+    def dying(lutset, words, plan):
+        out = encode_words(lutset, words, plan)
         if os.getpid() == caller:
             return out
         calls.append(words)  # calls is the child's own copy
@@ -475,11 +525,11 @@ def test_stream_raises_chunk_miss_no_word_repeats(monkeypatch, tree3_lutset):
     shaped = encode_stream(tree3_lutset, join_words([1, 2, 3], spec.n_info))
     decode_words, miss, single = codec._decode_words, InvalidWord(1, 0), []
 
-    def chunk_misses(lutset, words):
+    def chunk_misses(lutset, words, plan):
         if len(words) > spec.leaf.lut_count:
             raise miss
         single.append(words)
-        return decode_words(lutset, words)
+        return decode_words(lutset, words, plan)
 
     _force_workers(monkeypatch, 1)
     monkeypatch.setattr(codec, "_decode_words", chunk_misses)
