@@ -17,6 +17,17 @@ band energy is the arithmetic mean over that band. Parents preferring low
 field values thus steer every subtree toward low-energy bands, which is
 what shapes the output distribution.
 
+Ranking sorts only the words that can be kept. Field costs never decrease
+(the class energies ascend, and each band energy is the mean of a band
+of scores no lower than the band before), and float addition is
+monotone. So a word with first field a and last field b scores at least
+what each word with first field at most a, last field at most b and the
+same middle fields scores, and is larger in value: it comes after those
+(a+1)(b+1) - 1 words, and is kept only if (a+1)(b+1) <= 2^v (a < 2^v
+for a one-field word). The top layer keeps 2^s of 2^u words, so it sorts
+few (119 of 4,096 on the bundled tree); a layer keeping half of 2^u
+sorts most. Costs that are not finite or that decrease are refused.
+
 All LUTs within a layer share identical contents. Synthesis is
 deterministic: identical inputs give bit-identical tables, so a file
 loads only if it is byte for byte what save_lutset writes for its
@@ -28,6 +39,7 @@ LutSet.encode_slots and stats.exact_class_pmf read.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -189,11 +201,48 @@ def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:
     return sums
 
 
+def _candidates(width: int, out_bits: int, keep: int) -> list[int]:
+    """The out_bits-bit words of width-bit fields that can be among the keep cheapest, ascending.
+
+    With first field a and last field b, a word ranks after the
+    (a+1)(b+1) - 1 other words whose first and last fields are at most a
+    and b and whose other fields are its own, so it can be kept only if
+    (a+1)(b+1) <= keep; a one-field word a, only if a < keep.
+    """
+    low = out_bits - width
+    if not low:
+        return list(range(keep))
+    n = 1 << width
+    # First fields below keep / n keep every last field: their words are one block.
+    whole = min(n, keep >> width)
+    words = list(range(whole << low))
+    for a in range(whole, min(n, keep)):
+        # Each row of last fields under first field a, cut to its keep // (a+1) lowest.
+        for row in range(a << low, (a + 1) << low, n):
+            words += range(row, row + keep // (a + 1))
+    return words
+
+
 def _ranked_lut(layer: LayerParams, cost: Sequence[float]) -> Lut:
-    """Keep the 2^v cheapest u-bit words in ascending (energy, value) order."""
+    """Keep the 2^v cheapest u-bit words in ascending (energy, value) order.
+
+    Only the words _candidates lists are sorted. Costs must be finite and
+    non-decreasing, and float addition is monotone, so lowering a word's
+    first or last field never raises its score and always lowers its
+    value: each such word comes before it, and a word outside the list has
+    at least 2^v words before it.
+    """
+    for i, x in enumerate(cost):
+        if not math.isfinite(x):
+            raise ValueError(f"field cost {i} is {x!r}, not a finite number")
+        if i and x < cost[i - 1]:
+            raise ValueError(f"field cost {i} is {x!r}, below field cost {i - 1}, {cost[i - 1]!r}")
     sums = _field_sums(cost, layer.out_bits)
-    # A stable sort of the ascending words breaks energy ties by value.
-    kept = sorted(range(1 << layer.out_bits), key=sums.__getitem__)[: 1 << layer.in_bits]
+    keep = 1 << layer.in_bits
+    kept = _candidates(len(cost).bit_length() - 1, layer.out_bits, keep)
+    # A stable sort of ascending words breaks energy ties by value.
+    kept.sort(key=sums.__getitem__)
+    del kept[keep:]
     # Index = r parent bits (high) || s information bits (low): a band is 2^s
     # contiguous entries, and the top layer (v = s) is one band.
     scores, size = [sums[w] for w in kept], 1 << layer.info_bits
@@ -220,7 +269,9 @@ def synthesize_parent_lut(layer: LayerParams, child_band_energy: Sequence[float]
 
     A candidate u-bit word is t fields of r_child bits; the leftmost field
     feeds the lowest-indexed child. Its score is the sum of the child band
-    energies its fields select.
+    energies its fields select. The band energies must be finite and
+    non-decreasing, as synthesized ones are; ValueError names the first
+    that is not.
     """
     n_bands = len(child_band_energy)
     r_child = n_bands.bit_length() - 1

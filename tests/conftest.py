@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from dmkit import BitWord, synthesize_tree, validate_tree
 from dmkit.cli import SELFTEST_TREES
@@ -79,6 +80,34 @@ ALL_TREES = [
     "full16_lutset",
     "wide_chain_lutset",
 ]
+
+
+@st.composite
+def tree_rows(draw):
+    """Layer rows of a tree that validate_tree(rows, 8, 4) accepts, top layer first.
+
+    Depth 1 to 4, fanin 1 to 4, s = 0 allowed below the top, at most 12
+    information bits a word and at most 12 bits a LUT output. Each width
+    is drawn from the values that keep the tree valid: a lower layer's r
+    is the width above over its fanin, and the leaf's output is whole PAM
+    symbols, whole QAM symbols over the word.
+    """
+    depth = draw(st.integers(1, 4), label="depth")
+    rows, count, info, above = [], 1, 0, None
+    for l in range(depth, 0, -1):
+        row = {"l": l}
+        r = 0
+        if above is not None:
+            t = draw(st.sampled_from([t for t in range(1, 5) if above % t == 0]), label="t")
+            r, count = above // t, count * t
+            row.update(t=t, r=r)
+        widths = [u for u in range(max(r, 1), 13) if l > 1 or (u % 2 == 0 and count * u % 4 == 0)]
+        u = draw(st.sampled_from(widths), label="u")
+        s = draw(st.integers(0 if r else 1, min(u - r, (12 - info) // count)), label="s")
+        row.update(T=count, s=s, v=r + s, u=u)
+        rows.append(row)
+        info, above = info + count * s, u
+    return rows
 
 
 def join_words(words, width):

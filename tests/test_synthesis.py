@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from dmkit import (
     LayerParams,
     LutFormatError,
     TreeConfigError,
+    decode_stream,
+    encode_stream,
     load_lutset,
     save_lutset,
     synthesize_leaf_lut,
@@ -22,8 +27,8 @@ from dmkit import (
     validate_tree,
 )
 from dmkit.bits import read_slots
-from dmkit.synthesis import DECODE_FILL, field_slots
-from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS
+from dmkit.synthesis import DECODE_FILL, _field_sums, _ranked_lut, field_slots
+from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS, join_words, tree_rows
 
 
 # --- independent selection oracle ------------------------------------------
@@ -57,6 +62,15 @@ def oracle_bands(scored, r, s):
         sum(e for e, _ in scored[b * 2**s : (b + 1) * 2**s]) / 2**s
         for b in range(2**r)
     ]
+
+
+def full_sort(layer, cost):
+    """layer's entries and band energies from a sort of all 2^u words, the ranking without its pruning."""
+    sums = _field_sums(cost, layer.out_bits)
+    kept = sorted(range(2**layer.out_bits), key=sums.__getitem__)[: 2**layer.in_bits]
+    size = 2**layer.info_bits
+    bands = [sum(map(sums.__getitem__, kept[b : b + size])) / size for b in range(0, len(kept), size)]
+    return tuple(kept), tuple(bands)
 
 
 def scores(lut, cost):
@@ -125,6 +139,22 @@ def test_parent_rejects_bad_band_table():
         synthesize_parent_lut(layer, (1.0, 2.0, 3.0))
 
 
+def test_parent_rejects_a_decreasing_band_table():
+    # Ranking would prune words cheaper than the ones it keeps.
+    layer = LayerParams(layer_index=2, lut_count=1, info_bits=2, in_bits=2, out_bits=4)
+    with pytest.raises(ValueError, match=r"^field cost 1 is 5\.0, below field cost 0, 37\.0$"):
+        synthesize_parent_lut(layer, (37.0, 5.0, 101.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "bands, index", [((5.0, 37.0, math.nan, 101.0), 2), ((-math.inf, 5.0), 0), ((5.0, math.inf), 1)], ids=["nan", "-inf", "inf"]
+)
+def test_parent_rejects_a_band_energy_that_is_not_finite(bands, index):
+    layer = LayerParams(layer_index=2, lut_count=1, info_bits=2, in_bits=2, out_bits=4)
+    with pytest.raises(ValueError, match=f"^field cost {index} is {bands[index]!r}, not a finite number$"):
+        synthesize_parent_lut(layer, bands)
+
+
 # validate_tree rejects these widths first, so the layers are built raw.
 @pytest.mark.parametrize(
     "in_bits, out_bits, message", [(1, 3, "not divisible by 2"), (6, 4, "exceeds")], ids=["odd-u", "v-over-u"]
@@ -166,6 +196,52 @@ def scored_entries(lutset, layer_index):
     return list(zip(scores(lut, layer_costs(lutset)[i]), lut.entries)), list(lut.band_energy)
 
 
+# Costs with exact ties (repeated values, 0 + 1 = 1 + 0), near ties
+# (0.1 + 0.2 against 0.3) and sums that round (1e16 + 1).
+COST_POOL = (-1.5, 0.0, 0.1, 0.2, 0.3, 1.0, 1.0 + 2**-52, 3.0, 1e16)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ranked_lut_equals_the_full_sort(data):
+    # 1-4 fields of 1-4 bits, u <= 12, every v <= u, random non-decreasing costs.
+    width = data.draw(st.integers(1, 4), label="width")
+    u = width * data.draw(st.integers(1, min(4, 12 // width)), label="fields")
+    cost = sorted(data.draw(st.lists(st.sampled_from(COST_POOL), min_size=2**width, max_size=2**width), label="cost"))
+    for v in range(u + 1):
+        layer = LayerParams(layer_index=1, lut_count=1, info_bits=data.draw(st.integers(0, v), label="s"), in_bits=v, out_bits=u)
+        lut = _ranked_lut(layer, cost)
+        assert (lut.entries, lut.band_energy) == full_sort(layer, cost), v
+
+
+@pytest.mark.parametrize("fixture", ALL_TREES)
+def test_every_fixture_layer_equals_the_full_sort(fixture, request):
+    lutset = request.getfixturevalue(fixture)
+    for layer, lut, cost in zip(lutset.spec.layers, lutset.luts, layer_costs(lutset)):
+        assert (lut.entries, lut.band_energy) == full_sort(layer, cost), layer.layer_index
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=tree_rows())
+def test_random_trees_rank_save_and_round_trip(rows):
+    lutset = synthesize_tree(validate_tree(rows, 8, 4))
+    spec = lutset.spec
+    for layer, lut, cost in zip(spec.layers, lutset.luts, layer_costs(lutset)):
+        assert (lut.entries, lut.band_energy) == full_sort(layer, cost), layer.layer_index
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "tree.lut"), Path(tmp, "again.lut")
+        save_lutset(lutset, path)
+        loaded = load_lutset(path)
+        assert loaded == lutset
+        save_lutset(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    # The whole codebook as one stream: every information word, in order.
+    words = join_words(range(2**spec.n_info), spec.n_info)
+    shaped = encode_stream(lutset, words)
+    assert shaped.width == spec.n_out << spec.n_info
+    assert decode_stream(lutset, shaped) == words
+
+
 def test_single_layer_tree_is_one_leaf():
     spec = validate_tree(SINGLE_ROWS, 8, 4)
     lutset = synthesize_tree(spec)
@@ -184,9 +260,11 @@ def test_tables_injective_and_sorted(full_lutset):
         assert pairs == sorted(pairs)
 
 
-def test_band_energy_monotone(full_lutset):
-    for lut in full_lutset.luts:
-        assert list(lut.band_energy) == sorted(lut.band_energy)
+def test_band_energy_monotone(request):
+    # Ranking a parent prunes its words by this order of its field costs.
+    for name in ALL_TREES:
+        for lut in request.getfixturevalue(name).luts:
+            assert list(lut.band_energy) == sorted(lut.band_energy), (name, lut.layer_index)
 
 
 def test_decode_slots_invert_entries(full_lutset):
