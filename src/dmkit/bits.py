@@ -108,7 +108,7 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     except (ValueError, OverflowError):  # a symbol outside its slot or its width
         bad = next(s for s in symbols if not 0 <= s < 1 << width)
         raise ValueError(f"symbol {bad} does not fit in {width} bits") from None
-    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+    masks = split_masks(width, count)
     whole = max(count - 1, 0) // SPREAD_BLOCK * SPREAD_BLOCK  # symbols before the last block, whole bytes packed
     out = bytearray()
     for first in range(0, whole, SPREAD_BLOCK):
@@ -126,9 +126,11 @@ def _spread_masks(width: int, count: int) -> tuple[tuple[int, int], ...]:
     that fill their slot need no level. A mask is its group's pattern,
     doubled by shift and or until it covers the count. The masks of a count
     also serve every smaller power of two, through their last levels (&
-    costs the size of the smaller operand). They are built per call:
-    cached, they stayed alive among the short-lived objects of a stream and
-    raised the peak RSS of the bench's stream workload by up to 1.6 MB.
+    costs the size of the smaller operand). A stream's are built per call:
+    cached, they stayed alive among its short-lived objects and raised the
+    peak RSS of the bench's stream workload by up to 1.6 MB. One shaped
+    word's are kept in LutSet.one_word: 6 masks of 1,024 bits on the
+    bundled tree, against about 0.2 MB for a stream's block sizes.
     """
     slot = 8 if width <= 8 else 16
     levels = []
@@ -175,13 +177,19 @@ def _gather(x: int, width: int, count: int, masks: tuple[tuple[int, int], ...]) 
     return x >> ((n - count) * width)
 
 
-def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
+def split_masks(width: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The spread masks with which split_symbols splits, and pack_symbols packs, count width-bit symbols."""
+    return _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+
+
+def split_symbols(word: BitWord, bits_per_symbol: int, masks: tuple[tuple[int, int], ...] | None = None) -> Sequence[int]:
     """The symbols of a word, as unpack_symbols gives them, in a compact sequence.
 
     Symbols of up to 8 bits come as bytes (8-bit slots) and up to
     MAX_SYMBOL_BITS as an array of 16-bit slots. Blocks of SPREAD_BLOCK
     symbols are split bit-parallel by _spread, each cut from whole bytes of
-    the word (SPREAD_BLOCK is a multiple of 8).
+    the word (SPREAD_BLOCK is a multiple of 8). masks, if given, are
+    split_masks of the word's symbol count or of a larger one.
     """
     width = bits_per_symbol
     if not 1 <= width <= MAX_SYMBOL_BITS:
@@ -189,7 +197,8 @@ def split_symbols(word: BitWord, bits_per_symbol: int) -> Sequence[int]:
     if word.width % width:
         raise ValueError(f"width {word.width} is not a multiple of {width}")
     count = word.width // width
-    masks = _spread_masks(width, 1 << (min(count, SPREAD_BLOCK) - 1).bit_length())
+    if masks is None:
+        masks = split_masks(width, count)
     if count <= SPREAD_BLOCK:
         slots = _spread(word.value, width, count, masks)
     else:

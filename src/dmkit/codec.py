@@ -44,15 +44,18 @@ None, which the join rejects. The siblings' values become their parent's
 words by whole-integer shifts, ands and subtractions; the information
 bits of every record are cut out once per run by strided byte copies and
 put back in word order by the inverse slice plan. No mirror table is
-built. A stream builds the plans of its chunk size once, before it forks,
-so its children inherit them; a shorter last chunk, and a single word,
-builds its own (7 slices a word on the bundled tree). A 128-word chunk of
-the bundled tree, about 16k lookups, takes 1.15 ms to encode, of which
-0.33 ms cuts the information fields, and 1.16 ms to decode, of which 0.38
-ms gathers and rejoins the information bits; before the planes and plans
-these were 1.39, 0.55, 1.31 and 0.51 ms (one process on one CPU, medians
-of 31 alternating rounds, Python 3.11, 2-core x86_64 VM). Building the
-chunk's plans takes about 0.18 ms to encode and 0.22 ms to decode.
+built. A stream builds the plans of its chunk size once, before it
+forks, so its children inherit them, and a shorter last chunk builds its
+own. A single word reads LutSet.one_word, its plans (7 slices each way
+on the bundled tree) and leaf split masks, built once by the same
+builders: this took one-word encode and decode from 31.3 and 32.5 us to
+26.7 and 25.8 us. A 128-word chunk of the bundled tree, about 16k
+lookups, takes 1.15 ms to encode, of which 0.33 ms cuts the information
+fields, and 1.16 ms to decode, of which 0.38 ms gathers and rejoins the
+information bits; before the planes and plans these were 1.39, 0.55,
+1.31 and 0.51 ms (one process on one CPU, medians of 31 alternating
+rounds, Python 3.11, 2-core x86_64 VM). Building the chunk's plans takes
+about 0.18 ms to encode and 0.22 ms to decode.
 
 Measured dead ends: lookups by str.translate (about 37 ns a character,
 against 16-26 ns for a comprehension lookup); tables of ints turned into
@@ -96,20 +99,16 @@ import mmap
 import os
 import threading
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .bits import BitWord, read_slots, split_symbols
-from .synthesis import DECODE_FILL, LutSet
+from .synthesis import DECODE_FILL, LutSet, SlicePlan
 from .tree import TreeSpec
 
 VECTOR_FILE_TAG = "dmkit-vectors"
 
 # Turns binary text, as bytes, into bytes 0 and 1: the bits _bit_planes reads.
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-# A slice plan: plan(seq) is the tuple of seq's pieces at the plan's slices.
-_SlicePlan = Callable[[Sequence], tuple]
 
 # Stream chunks hold about this many table lookups: 128 words of 127 LUTs on
 # the bundled tree.
@@ -137,28 +136,6 @@ class InvalidWord(ValueError):
         return type(self), (self.layer_index, self.lut_index)
 
 
-def _slice_plan(slices: list[slice]) -> _SlicePlan:
-    """One itemgetter of all the slices, which cuts every piece in one C call.
-
-    A trailing empty slice keeps the result a tuple when there is one slice.
-    """
-    return itemgetter(*slices, slice(0, 0))
-
-
-def _info_plan(lutset: LutSet, n_words: int) -> tuple[_SlicePlan, ...]:
-    """The slice plan of the information fields of n_words words: one per group of LutSet.info_groups.
-
-    A group's plan cuts the T*s-bit run of each of its layers out of the
-    words' binary text, layer after layer, word after word; joined, the
-    pieces are the group's fields in the order _info_slots hands them out.
-    """
-    n_info = lutset.spec.n_info
-    return tuple(
-        _slice_plan([slice(k + a, k + b) for _, a, b in layers for k in range(0, n_words * n_info, n_info)])
-        for _, layers in lutset.info_groups
-    )
-
-
 def _bit_planes(bits: bytes, s: int) -> bytearray:
     """The s-bit fields of bits, a run of bytes 0 and 1 (a field's first bit first), one to a big-endian 16-bit slot.
 
@@ -178,12 +155,12 @@ def _bit_planes(bits: bytes, s: int) -> bytearray:
     return slots
 
 
-def _info_slots(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) -> list[bytes]:
+def _info_slots(lutset: LutSet, words: BitWord, plan: tuple[SlicePlan, ...]) -> list[bytes]:
     """The information fields of a run of words, per layer top first, as 16-bit big-endian slots: slot k*T + q holds the field of LUT q of word k.
 
     The words are formatted once as binary text, turned into bytes 0 and 1.
     The layers with s information bits per LUT are cut out together: the
-    group's slice plan (plan, from _info_plan for as many words) joins
+    group's slice plan (plan, LutSet.info_plan for as many words) joins
     their runs in one call, and _bit_planes splits the joined run into
     s-bit fields. A layer without information bits gets no slots.
     """
@@ -201,10 +178,10 @@ def _info_slots(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) ->
     return out
 
 
-def _encode_words(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) -> int:
+def _encode_words(lutset: LutSet, words: BitWord, plan: tuple[SlicePlan, ...]) -> int:
     """The shaped words of a run of information words, concatenated, one layer at a time.
 
-    plan is _info_plan for as many words. A layer's indices are 16-bit
+    plan is LutSet.info_plan for as many words. A layer's indices are 16-bit
     slots, LUT q of word k at slot k*T + q. One lookup per LUT in
     LutSet.encode_slots gives its children's fields, already in their slots
     and shifted, and one or adds the children's information fields: the
@@ -222,23 +199,11 @@ def _encode_words(lutset: LutSet, words: BitWord, plan: tuple[_SlicePlan, ...]) 
     return int("".join([leaf[e] for e in index]), 2)
 
 
-def _join_plan(lutset: LutSet, n_words: int) -> _SlicePlan:
-    """The slice plan that puts the information bits of n_words words back in word order.
-
-    It cuts the information text _decode_words gathers, layer after layer,
-    into each word's run of each layer, word after word: joined, the pieces
-    are the information words.
-    """
-    # A layer's bits start at n_words times where they start in a word.
-    runs = [(n_words * first, w) for first, w in lutset.info_runs]
-    return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for first, w in runs])
-
-
-def _decode_words(lutset: LutSet, words: Sequence[int], plan: _SlicePlan) -> int:
+def _decode_words(lutset: LutSet, words: Sequence[int], plan: SlicePlan) -> int:
     """The information words of shaped words, concatenated.
 
     words are the shaped words' leaf outputs, word-major; plan is
-    _join_plan for as many words. The inverse (invDM) tables,
+    LutSet.join_plan for as many words. The inverse (invDM) tables,
     LutSet.decode_slots, run upward one layer at a time: one lookup per LUT
     gives its record, the r-bit value its parent sent and its s information
     bits as text. The records' r-bit values are merged into the parent
@@ -290,7 +255,7 @@ def _decode_words(lutset: LutSet, words: Sequence[int], plan: _SlicePlan) -> int
     return int(b"".join(plan(text.translate(None, DECODE_FILL))), 2)
 
 
-def _decode_chunk(lutset: LutSet, words: BitWord, plan: _SlicePlan) -> int:
+def _decode_chunk(lutset: LutSet, words: BitWord, plan: SlicePlan) -> int:
     """_decode_words of the leaf outputs of shaped words, except that a miss is raised for the first invalid word.
 
     A miss found layer by layer may belong to a later word than one that
@@ -300,7 +265,7 @@ def _decode_chunk(lutset: LutSet, words: BitWord, plan: _SlicePlan) -> int:
     try:
         return _decode_words(lutset, leaves, plan)
     except InvalidWord:
-        count, one = lutset.spec.leaf.lut_count, _join_plan(lutset, 1)
+        count, one = lutset.spec.leaf.lut_count, lutset.one_word.join_plan
         for j in range(0, len(leaves), count):
             _decode_words(lutset, leaves[j : j + count], one)
         raise
@@ -311,7 +276,7 @@ def encode(lutset: LutSet, word: BitWord) -> BitWord:
     spec = lutset.spec
     if word.width != spec.n_info:
         raise ValueError(f"expected {spec.n_info} information bits, got {word.width}")
-    return BitWord(_encode_words(lutset, word, _info_plan(lutset, 1)), spec.n_out)
+    return BitWord(_encode_words(lutset, word, lutset.one_word.info_plan), spec.n_out)
 
 
 def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
@@ -324,7 +289,8 @@ def decode(lutset: LutSet, shaped: BitWord) -> BitWord:
     spec = lutset.spec
     if shaped.width != spec.n_out:
         raise ValueError(f"expected {spec.n_out} shaped bits, got {shaped.width}")
-    return BitWord(_decode_words(lutset, split_symbols(shaped, spec.leaf.out_bits), _join_plan(lutset, 1)), spec.n_info)
+    kit = lutset.one_word
+    return BitWord(_decode_words(lutset, split_symbols(shaped, spec.leaf.out_bits, kit.split_masks), kit.join_plan), spec.n_info)
 
 
 def _chunk_words(spec: TreeSpec) -> int:
@@ -446,7 +412,7 @@ def encode_stream(lutset: LutSet, bits: BitWord, pad: bool = False) -> BitWord:
         bits = BitWord(bits.value << fill, bits.width + fill)
     # Built before _run_stream forks, as the plans are, so that its children inherit it.
     lutset.encode_slots
-    return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset), partial(_info_plan, lutset))
+    return _run_stream(spec, bits, n_info, spec.n_out, partial(_encode_words, lutset), lutset.info_plan)
 
 
 def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
@@ -460,7 +426,7 @@ def decode_stream(lutset: LutSet, bits: BitWord) -> BitWord:
         raise ValueError(f"stream of {bits.width} bits is not a multiple of {n_out}")
     # Built before _run_stream forks, as the plans are, so that its children inherit it.
     lutset.decode_slots
-    return _run_stream(spec, bits, n_out, spec.n_info, partial(_decode_chunk, lutset), partial(_join_plan, lutset))
+    return _run_stream(spec, bits, n_out, spec.n_info, partial(_decode_chunk, lutset), lutset.join_plan)
 
 
 def dump_test_vectors(

@@ -44,9 +44,10 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Sequence
+from operator import itemgetter
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
-from .bits import MAX_SYMBOL_BITS, pack_symbols
+from .bits import MAX_SYMBOL_BITS, pack_symbols, split_masks
 from .mapping import BITS_PER_QAM, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
@@ -54,6 +55,9 @@ LUTFILE_MAGIC = b"DMLUT001"
 
 # Pads the information bits of a LutSet.decode_slots record; never a binary digit.
 DECODE_FILL = b" "
+
+# A slice plan: plan(seq) is the tuple of seq's pieces at the plan's slices.
+SlicePlan = Callable[[Sequence], tuple]
 
 
 class LutFormatError(ValueError):
@@ -87,7 +91,8 @@ class LutSet:
     The codec reads four views: info_groups and info_runs, where each
     layer's information bits sit in a word, and the tables encode_slots and
     decode_slots, whose values are the bytes the codec joins; decode_slots
-    is the inverse (invDM) table of 2^u addresses.
+    is the inverse (invDM) table of 2^u addresses. A fifth, one_word, holds
+    the slice plans and split masks of a single word.
     """
 
     spec: TreeSpec
@@ -114,6 +119,37 @@ class LutSet:
     def info_runs(self) -> tuple[tuple[int, int], ...]:
         """Where decode puts each layer's information bits: (first bit, bit count) in a word, top first, for every layer with s > 0."""
         return tuple(sorted([(a, b - a) for _, layers in self.info_groups for _, a, b in layers]))
+
+    def info_plan(self, n_words: int) -> tuple[SlicePlan, ...]:
+        """The slice plan of the information fields of n_words words: one per group of info_groups.
+
+        A group's plan cuts the T*s-bit run of each of its layers out of the
+        words' binary text, layer after layer, word after word; joined, the
+        pieces are the group's fields in the order the codec's bit planes
+        hand them out.
+        """
+        n_info = self.spec.n_info
+        return tuple(
+            _slice_plan([slice(k + a, k + b) for _, a, b in layers for k in range(0, n_words * n_info, n_info)])
+            for _, layers in self.info_groups
+        )
+
+    def join_plan(self, n_words: int) -> SlicePlan:
+        """The slice plan that puts the information bits of n_words words back in word order.
+
+        It cuts the information text decode gathers, layer after layer, into
+        each word's run of each layer, word after word: joined, the pieces
+        are the information words.
+        """
+        # A layer's bits start at n_words times where they start in a word.
+        runs = [(n_words * first, w) for first, w in self.info_runs]
+        return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for first, w in runs])
+
+    @cached_property
+    def one_word(self) -> OneWordKit:
+        """The plans and split masks of one word, built once by a stream chunk's builders: a few kilobytes, where a chunk's are large."""
+        leaf = self.spec.leaf
+        return OneWordKit(self.info_plan(1), self.join_plan(1), split_masks(leaf.out_bits, leaf.lut_count))
 
     @cached_property
     def encode_slots(self) -> tuple[tuple[bytes | str, ...], ...]:
@@ -166,6 +202,22 @@ class LutSet:
                 table[w] = record
             out.append(tuple(table))
         return tuple(out)
+
+
+class OneWordKit(NamedTuple):
+    """LutSet.one_word: info_plan(1), join_plan(1), and split_masks for one shaped word's leaf outputs."""
+
+    info_plan: tuple[SlicePlan, ...]
+    join_plan: SlicePlan
+    split_masks: tuple[tuple[int, int], ...]
+
+
+def _slice_plan(slices: list[slice]) -> SlicePlan:
+    """One itemgetter of all the slices, which cuts every piece in one C call.
+
+    A trailing empty slice keeps the result a tuple when there is one slice.
+    """
+    return itemgetter(*slices, slice(0, 0))
 
 
 def field_slots(lut: Lut, width: int) -> list[int]:

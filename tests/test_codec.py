@@ -18,6 +18,7 @@ from dmkit import (
     dump_test_vectors,
     encode,
     encode_stream,
+    load_lutset,
     load_test_vectors,
     pack_symbols,
     save_lutset,
@@ -26,7 +27,7 @@ from dmkit import (
     validate_tree,
     write_bitfile,
 )
-from dmkit import codec
+from dmkit import bits, codec, synthesis
 from dmkit.bits import read_slots
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
@@ -352,7 +353,7 @@ def test_info_slots_cut_every_field_width(s):
     for n_words in (1, 2, 7, 8, 9, 127, 128, 129):
         words = [rng.getrandbits(spec.n_info) for _ in range(n_words)]
         words[0] = (1 << spec.n_info) - 1
-        slots = codec._info_slots(lutset, join_words(words, spec.n_info), codec._info_plan(lutset, n_words))
+        slots = codec._info_slots(lutset, join_words(words, spec.n_info), lutset.info_plan(n_words))
         first = 0  # where the layer's fields start in a word
         for layer, cut in zip(spec.layers, slots):
             width, count = layer.info_bits, layer.lut_count
@@ -537,6 +538,79 @@ def test_stream_raises_chunk_miss_no_word_repeats(monkeypatch, tree3_lutset):
         decode_stream(tree3_lutset, shaped)
     assert exc.value is miss
     assert len(single) == 3
+
+
+def _count_builders(monkeypatch):
+    """Record the arguments, less the LutSet, of every call of a plan or mask builder: LutSet's, and split_symbols' own masks."""
+    calls = {"info_plan": [], "join_plan": [], "kit_masks": [], "split_masks": []}
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name].append(tuple(a for a in args if not isinstance(a, LutSet)))
+            return build(*args)
+
+        return wrapper
+
+    for name in ("info_plan", "join_plan"):
+        monkeypatch.setattr(LutSet, name, counted(name, getattr(LutSet, name)))
+    monkeypatch.setattr(synthesis, "split_masks", counted("kit_masks", synthesis.split_masks))
+    monkeypatch.setattr(bits, "split_masks", counted("split_masks", bits.split_masks))
+    return calls
+
+
+def test_one_word_kit_built_once(monkeypatch):
+    lutset = synthesize_tree(validate_tree(TREE3_ROWS, 8, 4))
+    spec, leaf = lutset.spec, lutset.spec.leaf
+    missing = next(w for w in range(1 << leaf.out_bits) if w not in lutset.luts[-1].entries)
+    bad = pack_symbols([missing] * leaf.lut_count, leaf.out_bits)
+    lutset.encode_slots, lutset.decode_slots  # the tables, which pack symbols too
+    assert "one_word" not in vars(lutset)
+    calls = _count_builders(monkeypatch)
+    for w in range(1 << spec.n_info):
+        assert decode(lutset, encode(lutset, BitWord(w, spec.n_info))) == BitWord(w, spec.n_info)
+        with pytest.raises(InvalidWord):
+            decode(lutset, bad)
+    assert calls == {"info_plan": [(1,)], "join_plan": [(1,)], "kit_masks": [(leaf.out_bits, leaf.lut_count)], "split_masks": []}
+
+
+def test_chunk_miss_reruns_words_with_the_kit(monkeypatch, tree3_lutset):
+    # After a chunk's miss, the word-by-word re-run reads LutSet.one_word
+    # and builds no one-word plan of its own.
+    spec = tree3_lutset.spec
+    kit = tree3_lutset.one_word
+    good = encode_stream(tree3_lutset, join_words([1, 2], spec.n_info))
+    shaped = join_words([good.value >> spec.n_out, _bad_leaf_chunk(tree3_lutset, 0).value, 0], spec.n_out)
+    calls = _count_builders(monkeypatch)
+    decode_words, plans = codec._decode_words, []
+
+    def recorded(lutset, words, plan):
+        plans.append(plan)
+        return decode_words(lutset, words, plan)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(codec, "_decode_words", recorded)
+    with pytest.raises(InvalidWord) as exc:
+        decode_stream(tree3_lutset, shaped)
+    assert (exc.value.layer_index, exc.value.lut_index) == (1, 0)
+    assert calls["join_plan"] == [(3,)] and tree3_lutset.one_word is kit
+    assert plans[1:] == [kit.join_plan, kit.join_plan]  # the chunk, then words 0 and 1; word 1 misses
+
+
+def test_one_word_kit_leaves_equality_and_file_alone(tmp_path):
+    lutset = synthesize_tree(validate_tree(TREE3_ROWS, 8, 4))
+    path = tmp_path / "tree3.lut"
+    save_lutset(lutset, path)
+    before = path.read_bytes()
+    loaded = load_lutset(path)
+    assert "one_word" not in vars(lutset) and "one_word" not in vars(loaded)
+    word = BitWord(5, lutset.spec.n_info)
+    for built in (lutset, loaded):
+        assert lutset == loaded and loaded == lutset and hash(lutset) == hash(loaded)
+        decode(built, encode(built, word))
+        assert "one_word" in vars(built)
+        save_lutset(built, path)
+        assert path.read_bytes() == before
+    assert lutset == loaded == load_lutset(path)
 
 
 def test_invalid_word_survives_pickle_and_copy():

@@ -16,8 +16,11 @@ from dmkit import (
     LayerParams,
     LutFormatError,
     TreeConfigError,
+    decode,
     decode_stream,
+    encode,
     encode_stream,
+    exact_class_pmf,
     load_lutset,
     save_lutset,
     synthesize_leaf_lut,
@@ -26,7 +29,7 @@ from dmkit import (
     unpack_symbols,
     validate_tree,
 )
-from dmkit.bits import read_slots
+from dmkit.bits import read_slots, split_symbols
 from dmkit.synthesis import DECODE_FILL, _field_sums, _ranked_lut, field_slots
 from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS, join_words, tree_rows
 
@@ -240,6 +243,16 @@ def test_random_trees_rank_save_and_round_trip(rows):
     shaped = encode_stream(lutset, words)
     assert shaped.width == spec.n_out << spec.n_info
     assert decode_stream(lutset, shaped) == words
+    # One-word encode and decode (LutSet.one_word) against the stream, on
+    # the first and last words and every 2^(n - 4)-th word between them.
+    last = 2**spec.n_info - 1
+    for w in sorted({0, last, *range(0, last, max(1, last >> 4))}):
+        out = BitWord((shaped.value >> (spec.n_out * (last - w))) & ((1 << spec.n_out) - 1), spec.n_out)
+        assert encode(lutset, BitWord(w, spec.n_info)) == out, w
+        assert decode(lutset, out) == BitWord(w, spec.n_info), w
+    # The exact pmf is the class ratio of the codebook, to the last bit.
+    classes = split_symbols(shaped, CLASS_BITS)
+    assert exact_class_pmf(lutset) == tuple(classes.count(c) / len(classes) for c in range(1 << CLASS_BITS))
 
 
 def test_single_layer_tree_is_one_leaf():
