@@ -29,7 +29,7 @@ from .stats import (
     render_text,
     stats_for_lutset,
 )
-from .synthesis import DECODE_FILL, load_lutset, save_lutset, synthesize_tree
+from .synthesis import load_lutset, save_lutset, synthesize_tree
 from .tree import lut_size_report, validate_tree
 
 # Small trees whose codebooks can be checked exhaustively, through the stream
@@ -141,14 +141,13 @@ def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):
     def check_tables() -> str:
         # decode's table must give entry e back as e's r high bits in a
         # 2-byte slot and e's s low bits as text, and hold nothing else.
-        width = max(layer.info_bits for layer in spec.layers)
         for layer, lut, records in zip(spec.layers, lutset.luts, lutset.decode_slots):
             s = layer.info_bits
             if len(records) - records.count(None) != 1 << layer.in_bits:
                 raise AssertionError(f"layer {layer.layer_index}: not {1 << layer.in_bits} decode records")
             for e, w in enumerate(lut.entries):
                 low = format(e & ((1 << s) - 1), f"0{s}b").encode() if s else b""
-                if records[w] != (e >> s).to_bytes(2, "big") + DECODE_FILL * (width - s) + low:
+                if records[w] != (e >> s).to_bytes(2, "big") + low:
                     raise AssertionError(f"layer {layer.layer_index}: mirror mismatch at {e}")
         return f"{spec.depth} layers injective with exact mirrors"
 

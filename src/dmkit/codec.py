@@ -39,11 +39,12 @@ fields are the next layer's indices. The leaf's lookups give its entries
 as binary text, joined and read as one integer. decode splits the leaf
 outputs in one call. The lookups of a layer in LutSet.decode_slots give
 each LUT's record: the r-bit value its parent sent, in a 16-bit slot,
-then its s information bits as text; a word the table never emits gives
-None, which the join rejects. The siblings' values become their parent's
-words by whole-integer shifts, ands and subtractions; the information
-bits of every record are cut out once per run by strided byte copies and
-put back in word order by the inverse slice plan. No mirror table is
+then its s information bits as text, 2 + s bytes; a word the table never
+emits gives None, which the join rejects. The siblings' values become
+their parent's words by whole-integer shifts, ands and subtractions. The
+information bits are gathered in encode's order (LutSet.info_groups), by
+one join of a group's records and s strided copies, and put back in word
+order by the inverse slice plan, LutSet.join_plan. No mirror table is
 built. A stream builds the plans of its chunk size once, before it
 forks, so its children inherit them, and a shorter last chunk builds its
 own. A single word reads LutSet.one_word, its plans (7 slices each way
@@ -51,11 +52,12 @@ on the bundled tree) and leaf split masks, built once by the same
 builders: this took one-word encode and decode from 31.3 and 32.5 us to
 26.7 and 25.8 us. A 128-word chunk of the bundled tree, about 16k
 lookups, takes 1.15 ms to encode, of which 0.33 ms cuts the information
-fields, and 1.16 ms to decode, of which 0.38 ms gathers and rejoins the
-information bits; before the planes and plans these were 1.39, 0.55,
-1.31 and 0.51 ms (one process on one CPU, medians of 31 alternating
-rounds, Python 3.11, 2-core x86_64 VM). Building the chunk's plans takes
-about 0.18 ms to encode and 0.22 ms to decode.
+fields, and 1.05 ms to decode, of which 0.28 ms gathers and rejoins the
+information bits; before the planes and plans the first two were 1.39
+and 0.55 ms, and with padded records gathered in layer order the last
+two were 1.15 and 0.38 ms (one process on one CPU, medians of 31
+alternating rounds, Python 3.11, 2-core x86_64 VM). Building the chunk's
+plans takes about 0.15 ms to encode and 0.19 ms to decode.
 
 Measured dead ends: lookups by str.translate (about 37 ns a character,
 against 16-26 ns for a comprehension lookup); tables of ints turned into
@@ -63,13 +65,15 @@ slots by array("H", list) (about 39 ns an element, which is why the
 tables hold pooled bytes objects that one join concatenates);
 map(table.__getitem__, ...) in place of the comprehension (slower on a
 chunk and on one word); the leaf's entries as slots packed by the bits
-gather instead of joined as text (2.5x slower on one word, no faster on a
-chunk); a gather of each layer's information bits (it doubled one-word
-decode); at fanin 2, widening each sibling's byte into a slot instead of
-the subtraction (about 1.5 us a layer slower on one word); bit planes for
-the 10-bit leaf split of decode (about 2.3x slower than bits.split_symbols
-on 8,192 fields) and for reading binary text as an integer (about 1.4x
-slower than int(text, 2)).
+gather instead of joined as text (2.5x slower on one word, no faster on
+a chunk); a gather of each layer's information bits (it doubled one-word
+decode); one buffer for all groups' gathered bits; join_plan built by
+sorting info_plan's slices (2.2x slower); at fanin 2, widening each
+sibling's byte into a slot instead of the subtraction (about 1.5 us a
+layer slower on one word); bit planes for the 10-bit leaf split of
+decode (about 2.3x slower than bits.split_symbols on 8,192 fields) and
+for reading binary text as an integer (about 1.4x slower than
+int(text, 2)).
 
 Words in a stream are independent, so a long stream runs on every usable
 CPU. Its chunks are split into contiguous ranges of at least
@@ -102,7 +106,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .bits import BitWord, read_slots, split_symbols
-from .synthesis import DECODE_FILL, LutSet, SlicePlan
+from .synthesis import LutSet, SlicePlan
 from .tree import TreeSpec
 
 VECTOR_FILE_TAG = "dmkit-vectors"
@@ -207,14 +211,13 @@ def _decode_words(lutset: LutSet, words: Sequence[int], plan: SlicePlan) -> int:
     LutSet.decode_slots, run upward one layer at a time: one lookup per LUT
     gives its record, the r-bit value its parent sent and its s information
     bits as text. The records' r-bit values are merged into the parent
-    words by whole-integer operations; the information bits of all records
-    are cut out together and put back in word order by plan. Raises
-    InvalidWord at the first layer with a table miss, naming the LUT of the
-    first miss within its word.
+    words by whole-integer operations; the information bits are gathered
+    in encode's order (LutSet.info_groups) and put back in word order by
+    plan. Raises InvalidWord at the first layer with a table miss, naming
+    the LUT of the first miss within its word.
     """
     spec = lutset.spec
     tables = lutset.decode_slots
-    size = len(tables[0][lutset.luts[0].entries[0]])  # every record has this many bytes
     records = [b""] * spec.depth  # per layer: the records of its lookups, joined
     for i in range(spec.depth - 1, -1, -1):
         layer, table = spec.layers[i], tables[i]
@@ -223,7 +226,7 @@ def _decode_words(lutset: LutSet, words: Sequence[int], plan: SlicePlan) -> int:
         except TypeError:  # a None: a word the table never emits
             miss = [table[w] for w in words].index(None)
             raise InvalidWord(layer.layer_index, miss % layer.lut_count) from None
-        t = layer.fanin
+        t, size = layer.fanin, 2 + layer.info_bits
         if t == 2:
             # Byte 1 of a record is its r-bit value (r <= 8 at fanin 2), so
             # the two siblings' bytes read as a 16-bit slot a*2^8 + b, and
@@ -246,13 +249,16 @@ def _decode_words(lutset: LutSet, words: Sequence[int], plan: SlicePlan) -> int:
                 slot[1::2] = joined[j::step]
                 parent = (parent << r) | int.from_bytes(slot, "big")
             words = read_slots(parent.to_bytes(len(slot), "big"))
-    # The information bits of every record, layer after layer, as text: each
-    # record's last size - 2 bytes, less the fill.
-    joined = b"".join(records)
-    text = bytearray(len(joined) // size * (size - 2))
-    for k in range(2, size):
-        text[k - 2 :: size - 2] = joined[k::size]
-    return int(b"".join(plan(text.translate(None, DECODE_FILL))), 2)
+    # The information bits of a group's records, layer after layer: each
+    # record's last s bytes, copied out by s strided copies.
+    texts = []
+    for s, layers in lutset.info_groups:
+        joined = b"".join([records[i] for i, _, _ in layers])
+        text = bytearray(len(joined) // (2 + s) * s)
+        for k in range(s):
+            text[k::s] = joined[2 + k :: 2 + s]
+        texts.append(text)
+    return int(b"".join(plan(b"".join(texts))), 2)
 
 
 def _decode_chunk(lutset: LutSet, words: BitWord, plan: SlicePlan) -> int:

@@ -53,9 +53,6 @@ from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, val
 
 LUTFILE_MAGIC = b"DMLUT001"
 
-# Pads the information bits of a LutSet.decode_slots record; never a binary digit.
-DECODE_FILL = b" "
-
 # A slice plan: plan(seq) is the tuple of seq's pieces at the plan's slices.
 SlicePlan = Callable[[Sequence], tuple]
 
@@ -88,10 +85,10 @@ class LutSet:
     The views are built on first use and cached; equality compares only
     spec and luts. Treat instances as immutable.
 
-    The codec reads four views: info_groups and info_runs, where each
-    layer's information bits sit in a word, and the tables encode_slots and
+    The codec reads three views: info_groups, where each layer's
+    information bits sit in a word, and the tables encode_slots and
     decode_slots, whose values are the bytes the codec joins; decode_slots
-    is the inverse (invDM) table of 2^u addresses. A fifth, one_word, holds
+    is the inverse (invDM) table of 2^u addresses. A fourth, one_word, holds
     the slice plans and split masks of a single word.
     """
 
@@ -100,7 +97,7 @@ class LutSet:
 
     @cached_property
     def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-        """Where encode finds each layer's information bits in a word, grouped by s.
+        """Where each layer's information bits sit in a word, grouped by s: encode cuts them, and decode gathers them, in this order.
 
         One (s, layers) per distinct s > 0, in order of first use top-down:
         layers holds (position in spec.layers, first bit, end bit) of the
@@ -114,11 +111,6 @@ class LutSet:
             if layer.info_bits:
                 groups.setdefault(layer.info_bits, []).append((i, start, end))
         return tuple([(s, tuple(layers)) for s, layers in groups.items()])
-
-    @cached_property
-    def info_runs(self) -> tuple[tuple[int, int], ...]:
-        """Where decode puts each layer's information bits: (first bit, bit count) in a word, top first, for every layer with s > 0."""
-        return tuple(sorted([(a, b - a) for _, layers in self.info_groups for _, a, b in layers]))
 
     def info_plan(self, n_words: int) -> tuple[SlicePlan, ...]:
         """The slice plan of the information fields of n_words words: one per group of info_groups.
@@ -135,15 +127,19 @@ class LutSet:
         )
 
     def join_plan(self, n_words: int) -> SlicePlan:
-        """The slice plan that puts the information bits of n_words words back in word order.
+        """The slice plan that puts the information bits of n_words words back in word order: the inverse of info_plan(n_words).
 
-        It cuts the information text decode gathers, layer after layer, into
-        each word's run of each layer, word after word: joined, the pieces
-        are the information words.
+        Decode gathers info_plan's pieces group after group, so a layer's
+        n_words pieces lie side by side; the plan cuts them out word after
+        word, layers top first: joined, they are the information words.
         """
-        # A layer's bits start at n_words times where they start in a word.
-        runs = [(n_words * first, w) for first, w in self.info_runs]
-        return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for first, w in runs])
+        runs, start = [], 0  # per layer: (first bit in a word, where its pieces start, bits a piece)
+        for _, layers in self.info_groups:
+            for _, a, b in layers:
+                runs.append((a, start, b - a))
+                start += n_words * (b - a)
+        runs.sort()
+        return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for _, first, w in runs])
 
     @cached_property
     def one_word(self) -> OneWordKit:
@@ -183,19 +179,16 @@ class LutSet:
 
         The record of the word with index e is e's r high bits (the value
         the layer above sent) as a 16-bit big-endian slot, then its s low
-        bits (its information bits) as binary text, after DECODE_FILL bytes
-        that make every record of the tree 2 + max(s) bytes long. Layers
+        bits (its information bits) as binary text: 2 + s bytes. Layers
         with the same r and s share one bytes object per record.
         """
-        width = max(layer.info_bits for layer in self.spec.layers)
         records: dict[tuple[int, int], list[bytes]] = {}
         out = []
         for layer, lut in zip(self.spec.layers, self.luts):
             s, r = layer.info_bits, layer.in_bits - layer.info_bits
             if (r, s) not in records:
                 # Record e: e >> s as two bytes, then the text of e's low s bits.
-                fill = DECODE_FILL * (width - s)
-                low = [fill + format(x, f"0{s}b").encode() for x in range(1 << s)] if s else [fill]
+                low = [format(x, f"0{s}b").encode() for x in range(1 << s)] if s else [b""]
                 records[r, s] = [k.to_bytes(2, "big") + text for k in range(1 << r) for text in low]
             table: list[bytes | None] = [None] * (1 << lut.out_bits)
             for w, record in zip(lut.entries, records[r, s]):

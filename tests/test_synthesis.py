@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -30,7 +31,7 @@ from dmkit import (
     validate_tree,
 )
 from dmkit.bits import read_slots, split_symbols
-from dmkit.synthesis import DECODE_FILL, _field_sums, _ranked_lut, field_slots
+from dmkit.synthesis import _field_sums, _ranked_lut, field_slots
 from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS, join_words, tree_rows
 
 
@@ -282,9 +283,8 @@ def test_band_energy_monotone(request):
 
 def test_decode_slots_invert_entries(full_lutset):
     # The record of entries[e]: e's r high bits in a 2-byte slot, then its s
-    # low bits as text after fill; every other word has none.
+    # low bits as text, 2 + s bytes; every other word has none.
     layers = full_lutset.spec.layers
-    width = max(layer.info_bits for layer in layers)
     for layer, lut, records in zip(layers, full_lutset.luts, full_lutset.decode_slots):
         s = layer.info_bits
         assert len(records) == 1 << lut.out_bits
@@ -292,7 +292,25 @@ def test_decode_slots_invert_entries(full_lutset):
         assert len(lut.entries) == 1 << lut.in_bits
         for e, w in enumerate(lut.entries):
             low = format(e, "016b")[16 - s :].encode()
-            assert records[w] == (e >> s).to_bytes(2, "big") + DECODE_FILL * (width - s) + low
+            assert records[w] == (e >> s).to_bytes(2, "big") + low
+            assert len(records[w]) == 2 + s
+
+
+@pytest.mark.parametrize("name", ALL_TREES)
+def test_join_plan_inverts_info_plan(request, name):
+    # Decode gathers info_plan's pieces, group after group of info_groups;
+    # join_plan must put them back in word order. On split_s_lutset (s = 2,
+    # 1, 2) the group order is not the layer order. The stream round trip
+    # gathers them from the decode records.
+    lutset = request.getfixturevalue(name)
+    n_info = lutset.spec.n_info
+    rng = random.Random(name)
+    for n_words in (1, 2, 7, 8, 9, 127, 128, 129):
+        words = BitWord(rng.getrandbits(n_words * n_info), n_words * n_info)
+        text = format(words.value, f"0{words.width}b")
+        gathered = "".join([piece for cut in lutset.info_plan(n_words) for piece in cut(text)])
+        assert "".join(lutset.join_plan(n_words)(gathered)) == text, (name, n_words)
+        assert decode_stream(lutset, encode_stream(lutset, words)) == words, (name, n_words)
 
 
 def test_field_columns(full_lutset):
