@@ -1,5 +1,7 @@
 import math
-from itertools import permutations
+import random
+import tracemalloc
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from dmkit import (
     unpack_symbols,
     unrank,
 )
-from dmkit.ccdm import MAX_BLOCK_SYMBOLS
+from dmkit.ccdm import MAX_BLOCK_SYMBOLS, _rank, _rank_walk, _unrank_walk
 
 FULL_COUNTS = (157, 104, 46, 13)
 
@@ -32,6 +34,19 @@ def test_composition_basics():
         Composition((0, 0))
     with pytest.raises(ValueError):
         Composition((1, -1))
+
+
+def test_composition_keeps_counts_as_a_tuple():
+    from_list = Composition([2, 2])
+    from_tuple = Composition((2, 2))
+    assert from_list.counts == (2, 2)
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    code = CcdmCode(from_list, 2)
+    for value in range(4):
+        assert ccdm_decode(code, ccdm_encode(code, BitWord(value, 2))) == BitWord(value, 2)
+    with pytest.raises(ValueError, match="sequence of integers"):
+        Composition(5)
 
 
 def test_composition_block_length_bound():
@@ -68,6 +83,12 @@ def test_unrank_two_symbols():
         unrank(comp, -1)
 
 
+@pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None, -1], ids=repr)
+def test_unrank_rejects_index_that_is_not_a_valid_integer(index):
+    with pytest.raises(ValueError):
+        unrank(Composition((2, 2)), index)
+
+
 def test_unrank_zero_is_sorted():
     for counts in [(3, 2), (1, 2, 3), (2, 0, 1), FULL_COUNTS]:
         comp = Composition(counts)
@@ -90,10 +111,27 @@ def test_rank_inverts_unrank():
     assert rank((1, 1, 0, 0)) == comp.size - 1
 
 
-@pytest.mark.parametrize("sequence, message", [([], "empty"), ([-1, 0], "negative")], ids=["empty", "negative"])
+@pytest.mark.parametrize(
+    "sequence, message",
+    [([], "empty"), ([-1, 0], "negative"), ([1.5, 0], "not an integer"), ([0, "a"], "not an integer"), ([None], "not an integer")],
+    ids=["empty", "negative", "float", "str", "none"],
+)
 def test_rank_rejects_bad_sequences(sequence, message):
     with pytest.raises(ValueError, match=message):
         rank(sequence)
+
+
+def test_rank_numbers_distinct_symbols_as_dense_classes():
+    assert rank([0, 2**70]) == 0
+    assert rank([2**70, 0]) == 1
+    assert rank((9, 5, 9, 5, 7)) == rank((2, 0, 2, 0, 1))
+    tracemalloc.start()
+    try:
+        assert rank([2**40, 0, 2**40]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_rank_infers_trailing_classes():
@@ -267,3 +305,30 @@ def test_rank_unrank_match_reference_beyond_small_blocks(n, data):
     assert rank(seq) == _reference_rank(seq) == index
     shuffled = data.draw(st.permutations(seq))
     assert rank(shuffled) == _reference_rank(shuffled)
+
+
+def _compositions(n_classes, n_max):
+    for counts in product(range(n_max + 1), repeat=n_classes):
+        if 0 < sum(counts) <= n_max:
+            yield counts
+
+
+def test_four_class_kernel_matches_generic_walk():
+    # Every composition of 1-4 classes with n <= 8, zero counts included, at every index.
+    for n_classes in range(1, 5):
+        for counts in _compositions(n_classes, 8):
+            comp = Composition(counts)
+            for index in range(comp.size):
+                seq = unrank(comp, index)
+                assert seq == _unrank_walk(counts, comp.n, comp.size, index)
+                assert _rank(seq, counts, comp.size) == _rank_walk(seq, list(counts), comp.size) == index
+
+
+def test_four_class_kernel_matches_reference_on_the_full_code():
+    comp = Composition(FULL_COUNTS)
+    rng = random.Random(26)
+    indices = [0, 1, 2**507 - 1, comp.size - 1] + [rng.randrange(comp.size) for _ in range(12)]
+    for index in indices:
+        seq = unrank(comp, index)
+        assert seq == _reference_unrank(FULL_COUNTS, index)
+        assert _rank(seq, FULL_COUNTS, comp.size) == rank(seq) == _reference_rank(seq) == index
