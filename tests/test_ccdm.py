@@ -20,7 +20,7 @@ from dmkit import (
     unpack_symbols,
     unrank,
 )
-from dmkit.ccdm import MAX_BLOCK_SYMBOLS, _rank, _rank_walk, _unrank_walk
+from dmkit.ccdm import MAX_BLOCK_SYMBOLS, _rank
 
 FULL_COUNTS = (157, 104, 46, 13)
 
@@ -47,6 +47,12 @@ def test_composition_keeps_counts_as_a_tuple():
         assert ccdm_decode(code, ccdm_encode(code, BitWord(value, 2))) == BitWord(value, 2)
     with pytest.raises(ValueError, match="sequence of integers"):
         Composition(5)
+
+
+@pytest.mark.parametrize("counts", [{2, 2}, frozenset({157, 104}), {157: 1, 104: 1}], ids=["set", "frozenset", "dict"])
+def test_composition_refuses_unordered_counts(counts):
+    with pytest.raises(ValueError, match="ordered sequence"):
+        Composition(counts)
 
 
 def test_composition_block_length_bound():
@@ -81,6 +87,11 @@ def test_unrank_two_symbols():
         unrank(comp, 2)
     with pytest.raises(ValueError):
         unrank(comp, -1)
+
+
+def test_unrank_refuses_what_is_not_a_composition():
+    with pytest.raises(ValueError, match="composition must be a Composition, got tuple"):
+        unrank((2, 2), 0)
 
 
 @pytest.mark.parametrize("index", [1.5, 1.0, True, False, "1", None, -1], ids=repr)
@@ -149,6 +160,8 @@ def test_code_capacity_check():
         CcdmCode(Composition((2, 2)), -1)
     with pytest.raises(ValueError, match="capacity"):
         CcdmCode(Composition((2, 2)), 2**62)  # compared against k_max, never shifted
+    with pytest.raises(ValueError, match="composition must be a Composition, got tuple"):
+        CcdmCode((2, 2), 1)
 
 
 def test_toy_code_two_cases():
@@ -313,15 +326,18 @@ def _compositions(n_classes, n_max):
             yield counts
 
 
-def test_four_class_kernel_matches_generic_walk():
-    # Every composition of 1-4 classes with n <= 8, zero counts included, at every index.
-    for n_classes in range(1, 5):
-        for counts in _compositions(n_classes, 8):
+def test_rank_unrank_match_reference_on_every_small_composition():
+    # Every composition of 1-4 classes with n <= 8 and of 5-6 classes with
+    # n <= 5, zero counts included, at every index: the four local classes
+    # and the tail list beyond them.
+    small = [(n_classes, 8) for n_classes in range(1, 5)] + [(5, 5), (6, 5)]
+    for n_classes, n_max in small:
+        for counts in _compositions(n_classes, n_max):
             comp = Composition(counts)
             for index in range(comp.size):
                 seq = unrank(comp, index)
-                assert seq == _unrank_walk(counts, comp.n, comp.size, index)
-                assert _rank(seq, counts, comp.size) == _rank_walk(seq, list(counts), comp.size) == index
+                assert seq == _reference_unrank(counts, index)
+                assert _rank(seq, counts, comp.size) == _reference_rank(seq) == index
 
 
 def test_four_class_kernel_matches_reference_on_the_full_code():
