@@ -13,15 +13,17 @@ output, information field and class symbol fits one 16-bit slot) and go
 both ways bit-parallel, through 8- or 16-bit slots. The split takes
 log2(count) whole-integer steps, each moving half of every group of
 symbols up, until each symbol sits in its own slot, and one bytes or
-array conversion reads the slots out. The pack is its gather: one bytes
-or array conversion puts the symbols in slots, and the same steps with
-the same masks, bottom level first, move them back down. read_slots reads
-big-endian 16-bit slots as an array, the form the codec keeps.
+array conversion reads the slots out. The pack is its gather: bytes, or
+one struct.pack_into a block, puts the symbols in slots, and the same
+steps with the same masks, bottom level first, move them back down.
+read_slots reads big-endian 16-bit slots into the codec's array form.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -86,8 +88,9 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     """Pack fixed-width symbols into a word, first symbol in the high bits.
 
     The inverse of split_symbols and its mirror image: the symbols go into
-    8- or 16-bit slots through one bytes or array conversion, and _gather
-    packs each block of SPREAD_BLOCK of them.
+    8- or 16-bit slots through bytes or one struct.pack_into a block, and
+    _gather packs each block of SPREAD_BLOCK of them. A non-integer symbol
+    raises TypeError, one outside width bits ValueError.
     """
     width = bits_per_symbol
     if not 1 <= width <= MAX_SYMBOL_BITS:
@@ -97,16 +100,18 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     count = len(symbols)
     slot = 8 if width <= 8 else 16
     try:
-        slots = bytes(symbols) if slot == 8 else array("H", symbols)
-        if slot == 16:
-            if sys.byteorder == "little":
-                slots.byteswap()
-            slots = slots.tobytes()
+        if slot == 8:
+            slots = bytes(symbols)
+        else:
+            slots = bytearray(2 * count)
+            for first in range(0, count, SPREAD_BLOCK):
+                block = symbols[first : first + SPREAD_BLOCK]
+                struct.pack_into(f">{len(block)}H", slots, 2 * first, *block)
         # Every symbol's high byte must hold only its top width + 8 - slot bits.
         if width < slot and slots[:: slot // 8].translate(None, bytes(range(1 << (width + 8 - slot)))):
             raise ValueError
-    except (ValueError, OverflowError):  # a symbol outside its slot or its width
-        bad = next(s for s in symbols if not 0 <= s < 1 << width)
+    except (TypeError, ValueError, struct.error):  # the first symbol at fault: no integer (TypeError) or too wide
+        bad = next(s for s in symbols if not 0 <= operator.index(s) < 1 << width)
         raise ValueError(f"symbol {bad} does not fit in {width} bits") from None
     masks = split_masks(width, count)
     whole = max(count - 1, 0) // SPREAD_BLOCK * SPREAD_BLOCK  # symbols before the last block, whole bytes packed

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .bits import BitWord, pack_symbols, read_bitfile, split_symbols, write_bitfile
 from .codec import InvalidWord, decode_stream, encode_stream
@@ -21,6 +21,7 @@ from .config import ToolkitConfig, builtin_config_path, load_config
 from .mapping import BITS_PER_QAM, CLASS_BITS, SHAPED_BITS_PER_QAM
 from .stats import (
     DEFAULT_SEED,
+    StatsReport,
     _sample_batches,
     comparison_report,
     exact_class_pmf,
@@ -64,12 +65,14 @@ def _load(args: argparse.Namespace) -> ToolkitConfig:
     return load_config(args.config if args.config else builtin_config_path())
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as f:
+def _emit(reports: Mapping[str, StatsReport], args: argparse.Namespace) -> int:
+    text = render_csv(reports) if args.format == "csv" else render_text(reports)
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -103,23 +106,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    lutset = synthesize_tree(cfg.spec)
-    report = {"hidm": stats_for_lutset(lutset)}
-    text = render_csv(report) if args.format == "csv" else render_text(report)
-    _emit(text, args.out)
-    return 0
+    return _emit({"hidm": stats_for_lutset(synthesize_tree(_load(args).spec))}, args)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if cfg.ccdm_code is None:
         raise ValueError("config has no ccdm section; the report needs all three columns")
-    lutset = synthesize_tree(cfg.spec)
-    reports = comparison_report(lutset, cfg.ccdm_code, cfg.mb_target_two_h)
-    text = render_csv(reports) if args.format == "csv" else render_text(reports)
-    _emit(text, args.out)
-    return 0
+    return _emit(comparison_report(synthesize_tree(cfg.spec), cfg.ccdm_code, cfg.mb_target_two_h), args)
 
 
 def _selftest_checks(cfg: ToolkitConfig, seed: int, words: int):

@@ -5,7 +5,8 @@ index is uniform over its information bits; a layer's entry distribution
 induces the distribution of each child's parent field, and a child index
 is that field joined with uniform information bits. The leaf is one more
 step of the same walk, whose fields are the 2-bit class symbols. The walk
-carries integer counts, so it is exact; only the final division rounds.
+goes band by band, skipping bands of count 0, and carries integer counts,
+so it is exact; only the final division rounds.
 
 stats_from_pmf turns a class or magnitude distribution of the fixed
 256-QAM labeling (see mapping) into the usual shaped-signal figures: mean
@@ -93,10 +94,10 @@ class StatsReport:
 def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     """Class distribution of the shaped output under uniform input bits.
 
-    One index count per layer is carried down, summed over the layer's
-    LUTs: every top index counts 1, and each child index, a parent field
-    followed by the child's s information bits, inherits that field's
-    count. The counts are exact integers, divided once at the end.
+    One count per band (the 2^s indices under one parent field) is carried
+    down, summed over the layer's LUTs: the top layer's one band counts 1,
+    a child's band counts how often its field is sent, and a band of count
+    0 is skipped. The counts are exact integers, divided once at the end.
 
     The walk reads each layer's field columns (synthesis.field_slots), one
     16-bit slot per entry: the children's r-bit parent fields above the
@@ -104,18 +105,18 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     counts.
     """
     spec = lutset.spec
-    counts = [1] * (1 << spec.top.in_bits)
+    counts = [1]  # the top layer's one band
     widths = [child.parent_bits for child in spec.layers[1:]] + [CLASS_BITS]
-    for pos, (lut, width) in enumerate(zip(lutset.luts, widths)):
-        field_counts = [0] * (1 << width)
+    for layer, lut, width in zip(spec.layers, lutset.luts, widths):
+        size, bands, counts = 1 << layer.info_bits, counts, [0] * (1 << width)
         for column in field_slots(lut, width):
-            for n, f in zip(counts, read_slots(column.to_bytes(2 * len(counts), "big"))):
-                field_counts[f] += n
-        if pos + 1 < spec.depth:
-            n_s = 1 << spec.layers[pos + 1].info_bits
-            counts = [n for n in field_counts for _ in range(n_s)]
-    total = sum(field_counts)
-    return tuple(n / total for n in field_counts)
+            fields = read_slots(column.to_bytes(2 * len(lut.entries), "big"))
+            for start, n in zip(range(0, len(fields), size), bands):
+                if n:
+                    for f in fields[start : start + size]:
+                        counts[f] += n
+    total = sum(counts)
+    return tuple(n / total for n in counts)
 
 
 def _sample_batches(n_info: int, n_words: int, seed: int) -> Iterator[BitWord]:

@@ -157,6 +157,37 @@ def test_pack_symbols_rejects_what_the_reference_rejects(width, position):
             pack_symbols(iter(symbols), width)
 
 
+class _Index:
+    """An integer only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("width", [1, 4, 8, 9, 12, 16])
+@pytest.mark.parametrize("position", [0, 3000])
+def test_pack_symbols_errors_are_the_same_at_every_slot_width(width, position):
+    # Up to 8 bits the symbols go through bytes, above through struct: the
+    # same bad symbol raises the same type and message either way, in the
+    # first block or a later one. True and __index__ integers are accepted.
+    for bad in (1.5, "1", None, -1, 1 << width, 1 << 16, 1 << 70):
+        symbols = [0] * 4097
+        symbols[position] = bad
+        with pytest.raises((TypeError, ValueError)) as info:
+            pack_symbols(symbols, width)
+        if isinstance(bad, int):
+            assert (type(info.value), str(info.value)) == (ValueError, f"symbol {bad} does not fit in {width} bits")
+        else:
+            message = f"{type(bad).__name__!r} object cannot be interpreted as an integer"
+            assert (type(info.value), str(info.value)) == (TypeError, message)
+    symbols = [0] * 4097
+    symbols[position : position + 2] = [True, _Index(1)]
+    assert pack_symbols(symbols, width) == pack_symbols([0] * position + [1, 1] + [0] * (4095 - position), width)
+
+
 @pytest.mark.parametrize("width", [0, 17])
 def test_symbol_widths_outside_1_to_16_are_rejected(width):
     for symbols in ([], [0]):

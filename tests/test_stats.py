@@ -6,6 +6,7 @@ import pytest
 
 from dmkit import (
     BitWord,
+    CLASS_BITS,
     CLASS_ENERGIES,
     CcdmCode,
     Composition,
@@ -21,8 +22,12 @@ from dmkit import (
     stats_for_lutset,
     stats_for_mb,
     stats_from_pmf,
+    synthesize_tree,
+    validate_tree,
 )
 from dmkit.maxwell import qam_entropy
+
+from conftest import ALL_TREES
 
 # Exact class distribution of the bundled seven-layer tree; every value is
 # a dyadic rational, so equality holds to the last float bit and this pins
@@ -47,6 +52,47 @@ def brute_force_class_pmf(lutset):
             counts[int(text[i : i + 2], 2)] += 1
     total = sum(counts)
     return tuple(c / total for c in counts)
+
+
+# The design benchmark's wide tree (139 -> 192 bits, 2^13-entry tables above
+# the leaf): far too large to enumerate.
+WIDE_ROWS = (
+    [{"l": 5, "T": 1, "s": 7, "v": 7, "u": 14}]
+    + [{"l": l, "t": 2, "r": 7, "s": 6, "v": 13, "u": 14} for l in (4, 3, 2)]
+    + [{"l": 1, "t": 2, "r": 7, "s": 3, "v": 10, "u": 12}]
+)
+
+
+def bottom_up_class_pmf(lutset):
+    """exact_class_pmf the other way round: class counts per band, summed from the leaf up.
+
+    An entry's counts are the sums of what its fields select below: at the
+    leaf a 2-bit class symbol counts itself, above it an r-bit field
+    selects a band of the child layer. A band (one parent value, 2^s
+    entries) sums its entries' counts; the top layer is one band.
+    """
+    below = [tuple(int(c == k) for k in range(4)) for c in range(4)]
+    width = CLASS_BITS
+    for layer, lut in zip(reversed(lutset.spec.layers), reversed(lutset.luts)):
+        mask = (1 << width) - 1
+        shifts = range(0, layer.out_bits, width)
+        entries = [[sum(below[(e >> shift) & mask][k] for shift in shifts) for k in range(4)] for e in lut.entries]
+        band = 1 << layer.info_bits
+        below = [tuple(map(sum, zip(*entries[b : b + band]))) for b in range(0, len(entries), band)]
+        width = layer.parent_bits
+    (top,) = below
+    return tuple(n / sum(top) for n in top)
+
+
+@pytest.fixture(scope="module")
+def wide_lutset():
+    return synthesize_tree(validate_tree(WIDE_ROWS, 8, 4))
+
+
+@pytest.mark.parametrize("fixture", ALL_TREES + ["wide_lutset"])
+def test_exact_pmf_equals_bottom_up_band_counts(fixture, request):
+    lutset = request.getfixturevalue(fixture)
+    assert exact_class_pmf(lutset) == bottom_up_class_pmf(lutset)
 
 
 def test_exact_pmf_uniform_for_keep_all_table(keepall_lutset):
