@@ -84,13 +84,14 @@ def read_slots(data: bytes) -> array:
     return slots
 
 
-def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
+def pack_symbols(symbols: Iterable[int], bits_per_symbol: int, masks: tuple[tuple[int, int], ...] | None = None) -> BitWord:
     """Pack fixed-width symbols into a word, first symbol in the high bits.
 
     The inverse of split_symbols and its mirror image: the symbols go into
     8- or 16-bit slots through bytes or one struct.pack_into a block, and
     _gather packs each block of SPREAD_BLOCK of them. A non-integer symbol
-    raises TypeError, one outside width bits ValueError.
+    raises TypeError, one outside width bits ValueError. masks, if given,
+    are split_masks of the symbol count or of a larger one.
     """
     width = bits_per_symbol
     if not 1 <= width <= MAX_SYMBOL_BITS:
@@ -113,7 +114,8 @@ def pack_symbols(symbols: Iterable[int], bits_per_symbol: int) -> BitWord:
     except (TypeError, ValueError, struct.error):  # the first symbol at fault: no integer (TypeError) or too wide
         bad = next(s for s in symbols if not 0 <= operator.index(s) < 1 << width)
         raise ValueError(f"symbol {bad} does not fit in {width} bits") from None
-    masks = split_masks(width, count)
+    if masks is None:
+        masks = split_masks(width, count)
     whole = max(count - 1, 0) // SPREAD_BLOCK * SPREAD_BLOCK  # symbols before the last block, whole bytes packed
     out = bytearray()
     for first in range(0, whole, SPREAD_BLOCK):

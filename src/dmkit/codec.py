@@ -62,7 +62,9 @@ plans takes about 0.15 ms to encode and 0.19 ms to decode.
 Measured dead ends: lookups by str.translate (about 37 ns a character,
 against 16-26 ns for a comprehension lookup); tables of ints turned into
 slots by array("H", list) (about 39 ns an element, which is why the
-tables hold pooled bytes objects that one join concatenates);
+tables hold pooled bytes objects that one join concatenates; struct.pack
+fills the same 16-bit slots at about 7 ns an element, so that choice is
+open again until it is timed against struct);
 map(table.__getitem__, ...) in place of the comprehension (slower on a
 chunk and on one word); the leaf's entries as slots packed by the bits
 gather instead of joined as text (2.5x slower on one word, no faster on

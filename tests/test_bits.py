@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dmkit import BitWord, pack_symbols, read_bitfile, unpack_symbols, write_bitfile
+from dmkit.bits import split_masks
 
 
 def test_bounds():
@@ -139,6 +140,18 @@ def test_pack_symbols_matches_accumulator_reference():
             assert pack_symbols(symbols, width) == expected, (width, count)
             assert pack_symbols(tuple(symbols), width) == expected, (width, count)
             assert pack_symbols((s for s in symbols), width) == expected, (width, count)
+
+
+def test_pack_symbols_with_given_masks_equals_its_own():
+    # Masks of the symbol count or of a larger one, at every width, for one
+    # symbol, around one gather block and across three blocks.
+    rng = random.Random(2029)
+    for width in range(1, 17):
+        for count in (1, 2047, 2048, 2049, 5000):
+            symbols = [rng.getrandbits(width) for _ in range(count)]
+            expected = pack_symbols(symbols, width)
+            for masks_count in sorted({count, count + 1, 2 * count, 5000}):
+                assert pack_symbols(symbols, width, split_masks(width, masks_count)) == expected, (width, count, masks_count)
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 12, 16])

@@ -31,6 +31,7 @@ from dmkit import (
     validate_tree,
 )
 from dmkit.bits import read_slots, split_symbols
+from dmkit import synthesis
 from dmkit.synthesis import _field_sums, _ranked_lut, field_slots
 from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS, join_words, tree_rows
 
@@ -159,6 +160,21 @@ def test_parent_rejects_a_band_energy_that_is_not_finite(bands, index):
         synthesize_parent_lut(layer, bands)
 
 
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ((5.0, 1.0, math.nan), "field cost 1 is 1.0, below field cost 0, 5.0"),
+        ((1.0, math.inf, 0.5), "field cost 1 is inf, not a finite number"),
+    ],
+    ids=["decrease-then-nan", "inf-then-decrease"],
+)
+def test_cost_table_with_several_faults_names_the_first(cost, message):
+    layer = LayerParams(layer_index=2, lut_count=1, info_bits=2, in_bits=2, out_bits=4)
+    with pytest.raises(ValueError) as info:
+        _ranked_lut(layer, cost)
+    assert str(info.value) == message
+
+
 # validate_tree rejects these widths first, so the layers are built raw.
 @pytest.mark.parametrize(
     "in_bits, out_bits, message", [(1, 3, "not divisible by 2"), (6, 4, "exceeds")], ids=["odd-u", "v-over-u"]
@@ -254,6 +270,29 @@ def test_random_trees_rank_save_and_round_trip(rows):
     # The exact pmf is the class ratio of the codebook, to the last bit.
     classes = split_symbols(shaped, CLASS_BITS)
     assert exact_class_pmf(lutset) == tuple(classes.count(c) / len(classes) for c in range(1 << CLASS_BITS))
+
+
+def test_each_tree_call_lists_a_layer_shape_once(monkeypatch, tmp_path, full_spec, full_lutset):
+    # The bundled tree repeats one shape at its middle layers. synthesize_tree
+    # and load_lutset each list a shape's candidates once, and the next call
+    # lists them again: nothing outlives a call.
+    listed = []
+    candidates = synthesis._candidates
+    monkeypatch.setattr(synthesis, "_candidates", lambda *shape: listed.append(shape) or candidates(*shape))
+    layers = full_spec.layers
+    costs = layer_costs(full_lutset)
+    shapes = sorted({(len(cost).bit_length() - 1, layer.out_bits, 1 << layer.in_bits) for layer, cost in zip(layers, costs)})
+    assert len(shapes) < len(layers)
+    path = tmp_path / "full.lut"
+    for _ in range(2):
+        assert synthesize_tree(full_spec) == full_lutset
+        assert sorted(listed) == shapes
+        listed.clear()
+    save_lutset(full_lutset, path)
+    for _ in range(2):
+        assert load_lutset(path) == full_lutset
+        assert sorted(listed) == shapes
+        listed.clear()
 
 
 def test_single_layer_tree_is_one_leaf():
