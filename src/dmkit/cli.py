@@ -87,21 +87,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_stream(args: argparse.Namespace) -> int:
+    """encode or decode, as args.command names, a bit file through a saved LUT set; its helpers are module globals, which bench/spans.py rebinds."""
     lutset = load_lutset(args.lut)
     data = read_bitfile(args.infile)
-    shaped = encode_stream(lutset, data, pad=args.pad)
-    write_bitfile(args.out, shaped)
-    print(f"encoded {data.width} bits -> {shaped.width} bits ({args.out})")
-    return 0
-
-
-def cmd_decode(args: argparse.Namespace) -> int:
-    lutset = load_lutset(args.lut)
-    data = read_bitfile(args.infile)
-    info = decode_stream(lutset, data)
-    write_bitfile(args.out, info)
-    print(f"decoded {data.width} bits -> {info.width} bits ({args.out})")
+    out = encode_stream(lutset, data, pad=args.pad) if args.command == "encode" else decode_stream(lutset, data)
+    write_bitfile(args.out, out)
+    print(f"{args.command}d {data.width} bits -> {out.width} bits ({args.out})")
     return 0
 
 
@@ -222,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile", help="input bit file")
     p.add_argument("--out", required=True, help="output bit file")
     p.add_argument("--pad", action="store_true", help="zero-pad a final partial word")
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("decode", help="decode a packed bit file")
     p.add_argument("lut", help="LUT file from synthesize")
     p.add_argument("infile", help="input bit file")
     p.add_argument("--out", required=True, help="output bit file")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("stats", help="exact statistics of the config's tree")
     add_config(p)

@@ -76,7 +76,10 @@ def parse_config(doc: Mapping[str, Any]) -> ToolkitConfig:
         value = doc["mb_target_2h"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TreeConfigError(f"mb_target_2h must be a number, got {value!r}")
-        mb_target = float(value)
+        try:
+            mb_target = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise TreeConfigError("mb_target_2h is too large for a float") from None
     return ToolkitConfig(spec=spec, ccdm_code=ccdm_code, mb_target_two_h=mb_target)
 
 

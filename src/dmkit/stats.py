@@ -32,10 +32,9 @@ from typing import Iterator, Mapping, Sequence
 
 from .bits import BitWord, read_slots, split_symbols
 from .ccdm import CcdmCode
-from .codec import encode_stream
+from .codec import LutSet, encode_stream, field_slots
 from .mapping import AMPLITUDES, CLASS_BITS, PAIR_BASE
 from .maxwell import MbDistribution, mb_fit, qam_entropy
-from .synthesis import LutSet, field_slots
 
 DEFAULT_SEED = 12345
 _MC_BATCH_WORDS = 1 << 13
@@ -83,15 +82,10 @@ class StatsReport:
     gain_db: float
 
     def as_dict(self) -> dict[str, float]:
+        """The p_abs values, then the scalars in _SCALAR_ROWS order, then d_min."""
         out = {f"p_abs_{2 * i + 1}": p for i, p in enumerate(self.p_abs)}
-        out.update(
-            energy=self.energy,
-            two_h=self.two_h,
-            beta=self.beta,
-            r_loss=self.r_loss,
-            gain_db=self.gain_db,
-            d_min=D_MIN,
-        )
+        out.update({attr: getattr(self, attr) for _, attr, _, _ in _SCALAR_ROWS})
+        out["d_min"] = D_MIN
         return out
 
 
@@ -103,7 +97,7 @@ def exact_class_pmf(lutset: LutSet) -> tuple[float, ...]:
     a child's band counts how often its field is sent, and a band of count
     0 is skipped. The counts are exact integers, divided once at the end.
 
-    The walk reads each layer's field columns (synthesis.field_slots), one
+    The walk reads each layer's field columns (codec.field_slots), one
     16-bit slot per entry: the children's r-bit parent fields above the
     leaf, class symbols at the leaf, whose field totals are the class
     counts.

@@ -1,4 +1,4 @@
-"""Energy-ranked construction of the LUT tree.
+"""Energy-ranked construction of the LUT tree, and the LUT file.
 
 Every layer is built by one rule. A candidate u-bit word is a run of
 fixed-width fields, leftmost field first; its score is the sum, over its
@@ -41,9 +41,9 @@ again (3.6 -> 5.1 ms bundled, 9.1 -> 12.0 ms wide).
 All LUTs within a layer share identical contents. Synthesis is
 deterministic: identical inputs give bit-identical tables, so a file
 loads only if it is byte for byte what save_lutset writes for its
-header's layer rows. Tables are packed bit-parallel (bits.pack_symbols),
-for the file and for field_slots, the field columns that
-LutSet.encode_slots and stats.exact_class_pmf read.
+header's layer rows, its tables packed bit-parallel (bits.pack_symbols).
+A tree's tables are a codec.LutSet, which also holds the lookup views
+the codec reads.
 """
 
 from __future__ import annotations
@@ -51,20 +51,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter, le
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from operator import le
+from typing import BinaryIO, Sequence
 
-from .bits import MAX_SYMBOL_BITS, pack_symbols, split_masks
+from .bits import pack_symbols, split_masks
+from .codec import LutSet
 from .mapping import BITS_PER_QAM, CLASS_ENERGIES, SHAPED_BITS_PER_QAM
 from .tree import LayerParams, TreeSpec, spec_fingerprint, spec_to_mappings, validate_tree
 
 LUTFILE_MAGIC = b"DMLUT001"
 
-# A slice plan: plan(seq) is the tuple of seq's pieces at the plan's slices.
-SlicePlan = Callable[[Sequence], tuple]
 # A tree's shape table: the candidate list of each (field width, u, 2^v), for one call.
 Shapes = dict[tuple[int, int, int], list[int]]
 
@@ -88,160 +85,6 @@ class Lut:
     out_bits: int
     entries: tuple[int, ...]
     band_energy: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class LutSet:
-    """All per-layer tables, aligned with spec.layers, and their lookup views.
-
-    The views are built on first use and cached; equality compares only
-    spec and luts. Treat instances as immutable.
-
-    The codec reads three views: info_groups, where each layer's
-    information bits sit in a word, and the tables encode_slots and
-    decode_slots, whose values are the bytes the codec joins; decode_slots
-    is the inverse (invDM) table of 2^u addresses. A fourth, one_word, holds
-    the slice plans and split masks of a single word.
-    """
-
-    spec: TreeSpec
-    luts: tuple[Lut, ...]
-
-    @cached_property
-    def info_groups(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
-        """Where each layer's information bits sit in a word, grouped by s: encode cuts them, and decode gathers them, in this order.
-
-        One (s, layers) per distinct s > 0, in order of first use top-down:
-        layers holds (position in spec.layers, first bit, end bit) of the
-        T*s bits of a word that each layer with s information bits per LUT
-        takes. A layer without information bits is in no group.
-        """
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        end = 0
-        for i, layer in enumerate(self.spec.layers):
-            start, end = end, end + layer.lut_count * layer.info_bits
-            if layer.info_bits:
-                groups.setdefault(layer.info_bits, []).append((i, start, end))
-        return tuple([(s, tuple(layers)) for s, layers in groups.items()])
-
-    def info_plan(self, n_words: int) -> tuple[SlicePlan, ...]:
-        """The slice plan of the information fields of n_words words: one per group of info_groups.
-
-        A group's plan cuts the T*s-bit run of each of its layers out of the
-        words' binary text, layer after layer, word after word; joined, the
-        pieces are the group's fields in the order the codec's bit planes
-        hand them out.
-        """
-        n_info = self.spec.n_info
-        return tuple(
-            _slice_plan([slice(k + a, k + b) for _, a, b in layers for k in range(0, n_words * n_info, n_info)])
-            for _, layers in self.info_groups
-        )
-
-    def join_plan(self, n_words: int) -> SlicePlan:
-        """The slice plan that puts the information bits of n_words words back in word order: the inverse of info_plan(n_words).
-
-        Decode gathers info_plan's pieces group after group, so a layer's
-        n_words pieces lie side by side; the plan cuts them out word after
-        word, layers top first: joined, they are the information words.
-        """
-        runs, start = [], 0  # per layer: (first bit in a word, where its pieces start, bits a piece)
-        for _, layers in self.info_groups:
-            for _, a, b in layers:
-                runs.append((a, start, b - a))
-                start += n_words * (b - a)
-        runs.sort()
-        return _slice_plan([slice(first + k * w, first + k * w + w) for k in range(n_words) for _, first, w in runs])
-
-    @cached_property
-    def one_word(self) -> OneWordKit:
-        """The plans and split masks of one word, built once by a stream chunk's builders: a few kilobytes, where a chunk's are large."""
-        leaf = self.spec.leaf
-        return OneWordKit(self.info_plan(1), self.join_plan(1), split_masks(leaf.out_bits, leaf.lut_count))
-
-    @cached_property
-    def encode_slots(self) -> tuple[tuple[bytes | str, ...], ...]:
-        """encode_slots[i][e] is what index e of spec.layers[i] passes on.
-
-        Above the leaf: the entry's t fields, leftmost first, in 16-bit
-        big-endian slots, each shifted left by the child's s, so that one or
-        of the children's information fields gives their indices. At the
-        leaf: the entry as u-bit binary text, the form encode joins.
-        """
-        layers = self.spec.layers
-        out = []
-        for child, lut in zip(layers[1:], self.luts):
-            n, t = len(lut.entries), child.fanin
-            slots = bytearray(2 * t * n)
-            for j, x in enumerate(field_slots(lut, child.parent_bits)):
-                # A field below 2^r shifted by s stays below 2^v <= 2^16: within its slot.
-                x = (x << child.info_bits).to_bytes(2 * n, "big")
-                slots[2 * j :: 2 * t] = x[0::2]
-                slots[2 * j + 1 :: 2 * t] = x[1::2]
-            out.append(_cut(slots, 2 * t))
-        leaf = self.luts[-1]
-        u, n = leaf.out_bits, len(leaf.entries)
-        text = format(pack_symbols(leaf.entries, u).value, f"0{u * n}b")
-        out.append(tuple([text[k : k + u] for k in range(0, u * n, u)]))
-        return tuple(out)
-
-    @cached_property
-    def decode_slots(self) -> tuple[tuple[bytes | None, ...], ...]:
-        """decode_slots[i][w] is the record of the u-bit word w of spec.layers[i], or None for a word the table never emits.
-
-        The record of the word with index e is e's r high bits (the value
-        the layer above sent) as a 16-bit big-endian slot, then its s low
-        bits (its information bits) as binary text: 2 + s bytes. Layers
-        with the same r and s share one bytes object per record.
-        """
-        records: dict[tuple[int, int], list[bytes]] = {}
-        out = []
-        for layer, lut in zip(self.spec.layers, self.luts):
-            s, r = layer.info_bits, layer.in_bits - layer.info_bits
-            if (r, s) not in records:
-                # Record e: e >> s as two bytes, then the text of e's low s bits.
-                low = [format(x, f"0{s}b").encode() for x in range(1 << s)] if s else [b""]
-                records[r, s] = [k.to_bytes(2, "big") + text for k in range(1 << r) for text in low]
-            table: list[bytes | None] = [None] * (1 << lut.out_bits)
-            for w, record in zip(lut.entries, records[r, s]):
-                table[w] = record
-            out.append(tuple(table))
-        return tuple(out)
-
-
-class OneWordKit(NamedTuple):
-    """LutSet.one_word: info_plan(1), join_plan(1), and split_masks for one shaped word's leaf outputs."""
-
-    info_plan: tuple[SlicePlan, ...]
-    join_plan: SlicePlan
-    split_masks: tuple[tuple[int, int], ...]
-
-
-def _slice_plan(slices: list[slice]) -> SlicePlan:
-    """One itemgetter of all the slices, which cuts every piece in one C call.
-
-    A trailing empty slice keeps the result a tuple when there is one slice.
-    """
-    return itemgetter(*slices, slice(0, 0))
-
-
-def field_slots(lut: Lut, width: int) -> list[int]:
-    """Each width-bit field of lut's entries, leftmost first, as one integer of 16-bit slots, entry e in slot e.
-
-    Above the leaf, field j is the r-bit parent value sent to child j; at
-    the leaf, with width 2, class symbol j. The entries are packed into
-    MAX_SYMBOL_BITS-bit slots once; one shift and one mask of the whole
-    packing leave a field of every entry in its slot.
-    """
-    n, slot = len(lut.entries), MAX_SYMBOL_BITS
-    packed = pack_symbols(lut.entries, slot).value
-    mask = int.from_bytes(((1 << width) - 1).to_bytes(slot // 8, "big") * n, "big")
-    return [(packed >> shift) & mask for shift in range(lut.out_bits - width, -1, -width)]
-
-
-def _cut(data: bytes, size: int) -> tuple[bytes, ...]:
-    """data cut into pieces of size bytes: one struct unpack, about 7x faster than slicing in a comprehension."""
-    return struct.Struct(f"{size}s" * (len(data) // size)).unpack(data)
 
 
 def _field_sums(cost: Sequence[float], out_bits: int) -> list[float]:

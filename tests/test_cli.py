@@ -354,10 +354,11 @@ def test_pinned_outputs(tmp_path, capsys):
 
 
 # Inputs that once ended in a traceback: JSON nested past the parser's
-# recursion limit, and a 20-bit leaf, a whole number of QAM symbols above
-# the 16-bit bound. Without the bound, synthesizing or loading that leaf
-# scores 2^20 candidates (about 117 MB), so a regression fails here
-# without exhausting memory. The 40-layer tree (2^39 leaves, 2^41 shaped
+# recursion limit, an mb_target_2h integer beyond the float range, and a
+# 20-bit leaf, a whole number of QAM symbols above the 16-bit bound.
+# Without the bound, synthesizing or loading that leaf scores 2^20
+# candidates (about 117 MB), so a regression fails here without
+# exhausting memory. The 40-layer tree (2^39 leaves, 2^41 shaped
 # bits) synthesized, then ran the codec out of memory.
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 WIDE_LEAF = [{"l": 1, "T": 1, "s": 1, "v": 1, "u": 20}]
@@ -381,8 +382,13 @@ def _lut_header(layers):
 @pytest.mark.parametrize("command", ["synthesize", "stats", "report", "selftest"])
 @pytest.mark.parametrize(
     "text, error",
-    [(NESTED_JSON, "TreeConfigError"), (_config(WIDE_LEAF), "WidthViolation"), (_config(DEEP_ROWS), "CountViolation")],
-    ids=["nested", "too-wide", "too-deep"],
+    [
+        (NESTED_JSON, "TreeConfigError"),
+        (json.dumps({"m": 8, "m_sb": 4, "layers": TREE3_ROWS, "mb_target_2h": 10**400}), "TreeConfigError"),
+        (_config(WIDE_LEAF), "WidthViolation"),
+        (_config(DEEP_ROWS), "CountViolation"),
+    ],
+    ids=["nested", "huge-mb-target", "too-wide", "too-deep"],
 )
 def test_config_beyond_limits_is_a_clean_error(tmp_path, capsys, command, text, error):
     cfg = tmp_path / "cfg.json"

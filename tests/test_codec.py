@@ -27,7 +27,7 @@ from dmkit import (
     validate_tree,
     write_bitfile,
 )
-from dmkit import bits, codec, synthesis
+from dmkit import bits, codec
 from dmkit.bits import read_slots
 from dmkit.cli import main
 from dmkit.codec import _chunk_words
@@ -553,7 +553,7 @@ def _count_builders(monkeypatch):
 
     for name in ("info_plan", "join_plan"):
         monkeypatch.setattr(LutSet, name, counted(name, getattr(LutSet, name)))
-    monkeypatch.setattr(synthesis, "split_masks", counted("kit_masks", synthesis.split_masks))
+    monkeypatch.setattr(codec, "split_masks", counted("kit_masks", codec.split_masks))
     monkeypatch.setattr(bits, "split_masks", counted("split_masks", bits.split_masks))
     return calls
 

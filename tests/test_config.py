@@ -58,6 +58,8 @@ def test_rejects_malformed_sections(tmp_path):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "ccdm": {"composition": "2,2", "k": 2}})
     with pytest.raises(TreeConfigError, match="number"):
         parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "mb_target_2h": "high"})
+    with pytest.raises(TreeConfigError, match="too large for a float"):
+        parse_config({"m": 8, "m_sb": 4, "layers": TREE2_ROWS, "mb_target_2h": 10**400})
     with pytest.raises(TreeConfigError, match="not valid JSON"):
         path = tmp_path / "broken.json"
         path.write_text("{")

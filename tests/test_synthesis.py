@@ -32,7 +32,8 @@ from dmkit import (
 )
 from dmkit.bits import read_slots, split_symbols
 from dmkit import synthesis
-from dmkit.synthesis import _field_sums, _ranked_lut, field_slots
+from dmkit.codec import field_slots
+from dmkit.synthesis import _field_sums, _ranked_lut
 from conftest import ALL_TREES, SINGLE_ROWS, TREE2_ROWS, TREE3_ROWS, join_words, tree_rows
 
 
@@ -521,6 +522,59 @@ def test_load_rejects_corruption(tmp_path, tree2_lutset):
 
 
 # --- corrupted files ---------------------------------------------------------
+
+
+# --- ROADMAP item 13: float ranking against an exact integer ranking --------
+# A deep fanin-4 tree whose parent scores need more than 53 bits: the float
+# sums of band means break exact ties in the top layer by rounding instead
+# of by value.
+
+DEEP_FANIN4_ROWS = [
+    {"l": 5, "T": 1, "s": 9, "v": 9, "u": 16},
+    {"l": 4, "t": 4, "r": 4, "s": 11, "v": 15, "u": 16},
+    {"l": 3, "t": 4, "r": 4, "s": 9, "v": 13, "u": 16},
+    {"l": 2, "t": 4, "r": 4, "s": 12, "v": 16, "u": 16},
+    {"l": 1, "t": 4, "r": 4, "s": 10, "v": 14, "u": 14},
+]
+
+
+def exact_tables(spec):
+    """Each layer's entries, top first, ranked in exact integers: all 2^u words sorted by (score, value).
+
+    The leaf's field costs are the integer class energies; a parent's are
+    its child's integer band totals. A layer's children divide their band
+    totals by the same 2^s, so totals rank as the band means do.
+    """
+    cost = [5, 37, 101, 197]
+    assert cost == list(CLASS_ENERGIES)
+    tables = []
+    for layer in reversed(spec.layers):
+        score = [0]  # indexed by word: each step appends one field below the words so far
+        for _ in range(layer.out_bits // (len(cost).bit_length() - 1)):
+            score = [x + c for x in score for c in cost]
+        kept = sorted(range(len(score)), key=lambda w: (score[w], w))[: 1 << layer.in_bits]
+        size = 1 << layer.info_bits
+        cost = [sum(score[w] for w in kept[b : b + size]) for b in range(0, len(kept), size)]
+        tables.append(tuple(kept))
+    return tables[::-1]
+
+
+@pytest.fixture(scope="module")
+def deep_fanin4_tables():
+    spec = validate_tree(DEEP_FANIN4_ROWS, 8, 4)
+    return [lut.entries for lut in synthesize_tree(spec).luts], exact_tables(spec)
+
+
+def test_deep_fanin4_tree_below_the_top_ranks_exactly(deep_fanin4_tables):
+    ranked, exact = deep_fanin4_tables
+    assert ranked[1:] == exact[1:]
+    assert sorted(ranked[0]) == sorted(exact[0])  # the top layer keeps the same words
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the top layer breaks exact ties by float rounding")
+def test_deep_fanin4_tree_top_layer_ranks_exactly(deep_fanin4_tables):
+    ranked, exact = deep_fanin4_tables
+    assert ranked[0] == exact[0]
 
 
 @pytest.fixture(scope="module")
